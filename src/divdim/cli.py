@@ -114,7 +114,7 @@ def _cmd_suitable(args) -> int:
         )
     print(
         f"suitable set for ({args.a}, {args.b}], n={args.n}: "
-        f"{len(s.perms)} permutations of {len(s.primes)} primes "
+        f"{len(s.ranks)} permutations of {len(s.primes)} primes "
         f"(seed {s.seed}, retry {s.retry_index})"
     )
     if not verdict:
@@ -172,6 +172,8 @@ def _cmd_certify(args) -> int:
     kinds = ", ".join(f"{z.kind}[{len(z.primes)}p:{z.dimension}d]" for z in cert.zones)
     print(f"certificate for n={args.n}: dimension {cert.dimension}")
     print(f"zones: {kinds}")
+    for note in cert.notes:
+        print(f"note: {note}")
     print(f"written to {args.out}")
     return EXIT_OK
 

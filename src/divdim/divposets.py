@@ -9,6 +9,7 @@ cover-free family, verified as poset embeddings.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -16,13 +17,19 @@ from typing import Iterator, Sequence
 from .base import DomainError, PreconditionError, RetryBudgetError, Verdict
 from .coverfree import SetFamily, greatest_prime_power
 from .multisets import Permutation
-from .posets import FinitePoset, verify_embedding
+from .posets import FinitePoset
 from .primes import PrimeTable, factorize
-from .rng import SplitMix64, child_seed
+from .rng import MASK64, SplitMix64, child_seed
 
 RETRY_BUDGET = 8
 EMBEDDING_VERIFY_GUARD = 5000
 EXACT_SIZE_HINT = 25
+# Below this many draw outputs or (row, node) pairs, plain Python finishes
+# sooner than importing numpy (about 0.1 s) would, so small certificates
+# are built without numpy.
+NUMPY_MIN_WORK = 1 << 16
+# candidate (node, prime) pairs filtered at once by the numpy suitability check
+SUITABILITY_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -99,18 +106,132 @@ def squarefree_support_sets(primes: Sequence[int], n: int) -> list[frozenset]:
     ]
 
 
-def _squarefree_index_masks(primes: Sequence[int], n: int) -> Iterator[tuple[int, int]]:
-    """(product, prime-index bitmask) for each qualifying squarefree m."""
+def _squarefree_nodes(primes: Sequence[int], n: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(product, prime indices) for each qualifying squarefree m, depth first.
 
-    def rec(start: int, value: int, mask: int) -> Iterator[tuple[int, int]]:
-        yield value, mask
+    Preorder: m, then each extension m * primes[i] for ascending i past
+    m's largest index while the product stays <= n.
+    """
+
+    def rec(start: int, value: int, indices: tuple[int, ...]):
+        yield value, indices
         for i in range(start, len(primes)):
             v = value * primes[i]
             if v > n:
                 break
-            yield from rec(i + 1, v, mask | 1 << i)
+            yield from rec(i + 1, v, indices + (i,))
 
-    yield from rec(0, 1, 0)
+    yield from rec(0, 1, ())
+
+
+def _rank_arrays(rank_rows: Sequence[Sequence[int]], length: int):
+    """Validated (rows, length) rank array and its row-wise inverse."""
+    import numpy as np
+
+    if len(rank_rows) == 0:
+        raise DomainError("at least one permutation is required")
+    try:
+        ranks = np.asarray(rank_rows)
+    except ValueError:
+        raise DomainError("rank row is not a permutation") from None
+    if (
+        ranks.ndim != 2
+        or ranks.shape[1] != length
+        or (ranks.size and ranks.dtype.kind not in "iu")
+    ):
+        raise DomainError("rank row is not a permutation")
+    ranks = ranks.astype(np.int64)
+    if ranks.size and not 0 <= ranks.min() <= ranks.max() < length:
+        raise DomainError("rank row is not a permutation")
+    at_rank = np.full_like(ranks, -1)
+    at_rank[np.arange(len(ranks))[:, None], ranks] = np.arange(length)
+    # a repeated rank leaves some other rank unfilled
+    if (at_rank < 0).any():
+        raise DomainError("rank row is not a permutation")
+    return ranks, at_rank
+
+
+def _rank_lists(rank_rows: Sequence[Sequence[int]], length: int) -> list[list[int]]:
+    """Rank rows as validated lists of ints."""
+    if len(rank_rows) == 0:
+        raise DomainError("at least one permutation is required")
+    positions = list(range(length))
+    rows = []
+    for row in rank_rows:
+        try:
+            row = [operator.index(v) for v in row]
+        except TypeError:
+            raise DomainError("rank row is not a permutation") from None
+        if sorted(row) != positions:
+            raise DomainError("rank row is not a permutation")
+        rows.append(row)
+    return rows
+
+
+def _suitability_python(
+    nodes: list[tuple[int, tuple[int, ...]]], primes: Sequence[int], rows: list[list[int]]
+) -> Verdict:
+    """The candidate filter of ``_first_uncovered``, one node at a time."""
+    positions = list(range(len(primes)))
+    at_rank = [_inverse(row, positions) for row in rows]
+    columns = list(zip(*rows))  # columns[i][r]: rank of primes[i] in row r
+    for value, indices in nodes:
+        if not indices:
+            continue
+        tops = columns[indices[0]]
+        for i in indices[1:]:
+            tops = tuple(map(max, tops, columns[i]))
+        lowest = min(tops)
+        cand = at_rank[tops.index(lowest)][:lowest]
+        for row, top in zip(rows, tops):
+            if not cand:
+                break
+            cand = [p for p in cand if row[p] < top]
+        missing = [p for p in cand if p not in indices]
+        if missing:
+            return Verdict(False, (value, primes[min(missing)]))
+    return Verdict(True)
+
+
+def _first_uncovered(ranks, at_rank, tops, indices) -> tuple[int, int] | None:
+    """(node, prime index) of the first uncovered pair among a batch of nodes.
+
+    ``tops[r, k]`` is node k's top rank in row r and ``indices[k]`` its
+    prime indices, padded with ``length``.  A prime outside the node is
+    uncovered when it ranks below the top in every row, so its candidates
+    are the ranks below the node's lowest top: a slice of that row's
+    inverse permutation.  Slices of consecutive nodes, up to
+    SUITABILITY_BLOCK candidates, are filtered row by row together.
+    """
+    import numpy as np
+
+    best = tops.argmin(axis=0)
+    count = np.maximum(tops[best, np.arange(tops.shape[1])], 0)
+    ends = np.cumsum(count)
+    first = 0
+    while first < len(count):
+        block_end = ends[first] - count[first] + SUITABILITY_BLOCK
+        last = max(first + 1, int(np.searchsorted(ends, block_end, side="right")))
+        node = np.repeat(np.arange(first, last), count[first:last])
+        cand = np.concatenate(
+            [
+                at_rank[r, :c]
+                for r, c in zip(best[first:last].tolist(), count[first:last].tolist())
+            ]
+        )
+        for r in range(len(ranks)):
+            keep = np.flatnonzero(ranks[r][cand] < tops[r][node])
+            node, cand = node[keep], cand[keep]
+            if not node.size:
+                break
+        # a prime of the node itself may sit below its top in every row
+        outside = (indices[node] != cand[:, None]).all(axis=1)
+        node, cand = node[outside], cand[outside]
+        if node.size:
+            k = node.min()
+            return int(k), int(cand[node == k].min())
+        first = last
+    return None
 
 
 def check_interval_suitability(
@@ -118,60 +239,49 @@ def check_interval_suitability(
 ) -> Verdict:
     """Deterministic check of the interval covering property.
 
-    Enumerates the squarefree m <= n over ``primes`` by ascending products
-    (never scanning [n]); for each m and each non-dividing prime p, some
-    row must rank every prime factor of m at or below p.  The witness on
-    failure is the first uncovered (m, p).
+    Enumerates the squarefree m <= n over ``primes`` depth first (never
+    scanning [n]); for each m and each non-dividing prime p, some row
+    must rank every prime factor of m at or below p.  The witness on
+    failure is the first uncovered (m, p): the first m in that order, and
+    its lowest-indexed uncovered p.  Memory is O(rows * len(primes)) for
+    the rows, O(nodes) for the node list, plus one block of candidates.
     """
-    length = len(primes)
-    if not rank_rows:
-        raise DomainError("at least one permutation is required")
-    all_mask = (1 << length) - 1
-    suffixes = []
-    for ranks in rank_rows:
-        if sorted(ranks) != list(range(length)):
-            raise DomainError("rank row is not a permutation")
-        at_rank = [0] * length
-        for idx, rk in enumerate(ranks):
-            at_rank[rk] = idx
-        suf = [0] * (length + 1)
-        for t in range(length - 1, -1, -1):
-            suf[t] = suf[t + 1] | 1 << at_rank[t]
-        suffixes.append(suf)
+    nodes = list(_squarefree_nodes(primes, n))
+    if len(rank_rows) * len(nodes) < NUMPY_MIN_WORK:
+        return _suitability_python(nodes, primes, _rank_lists(rank_rows, len(primes)))
+    import numpy as np
 
-    def visit(start: int, value: int, mask: int, tops: list[int]) -> Verdict | None:
-        covered = 0
-        for suf, t in zip(suffixes, tops):
-            covered |= suf[t]
-            if covered == all_mask:
-                break
-        missing = all_mask & ~(covered | mask)
-        if missing:
-            idx = (missing & -missing).bit_length() - 1
-            return Verdict(False, (value, primes[idx]))
-        for i in range(start, length):
-            v = value * primes[i]
-            if v > n:
-                break
-            child = [max(t, ranks[i]) for t, ranks in zip(tops, rank_rows)]
-            bad = visit(i + 1, v, mask | 1 << i, child)
-            if bad is not None:
-                return bad
-        return None
-
-    bad = visit(0, 1, 0, [0] * len(rank_rows))
-    return bad if bad is not None else Verdict(True)
+    ranks, at_rank = _rank_arrays(rank_rows, len(primes))
+    rows, length = ranks.shape
+    # index ``length`` pads shallower nodes and has rank -1 in every row
+    padded = np.concatenate([ranks, np.full((rows, 1), -1, dtype=ranks.dtype)], axis=1)
+    batch_size = max(1, SUITABILITY_BLOCK // rows)
+    for start in range(0, len(nodes), batch_size):
+        batch = nodes[start : start + batch_size]
+        depth = max(1, max(len(ind) for _, ind in batch))
+        indices = np.array(
+            [ind + (length,) * (depth - len(ind)) for _, ind in batch], dtype=np.int64
+        )
+        tops = padded[:, indices].max(axis=2)
+        found = _first_uncovered(ranks, at_rank, tops, indices)
+        if found is not None:
+            k, i = found
+            return Verdict(False, (batch[k][0], primes[i]))
+    return Verdict(True)
 
 
 @dataclass(frozen=True)
 class IntervalSuitableSet:
-    """Verified suitable permutations of the primes in (a, b], with its seed."""
+    """Verified suitable permutations of the primes in (a, b], with its seed.
+
+    ``ranks[j][i]`` is the rank of ``primes[i]`` in the j-th permutation.
+    """
 
     n: int
     a: float
     b: float
     primes: tuple[int, ...]
-    perms: tuple[Permutation, ...]
+    ranks: tuple[tuple[int, ...], ...]
     seed: int
     retry_index: int
     target_size: int
@@ -180,8 +290,19 @@ class IntervalSuitableSet:
     def interval_prime_count(self) -> int:
         return len(self.primes)
 
+    @property
+    def perms(self) -> tuple[Permutation, ...]:
+        """The rank rows as Permutations, least prime first; built per access."""
+        perms = []
+        for row in self.ranks:
+            order: list[int | None] = [None] * len(self.primes)
+            for idx, rk in enumerate(row):
+                order[rk] = self.primes[idx]
+            perms.append(Permutation(self.primes, tuple(order)))
+        return tuple(perms)
+
     def rank_rows(self) -> list[list[int]]:
-        return [[perm.rank_map[p] for p in self.primes] for perm in self.perms]
+        return [list(row) for row in self.ranks]
 
     def to_json_dict(self) -> dict:
         return {
@@ -196,19 +317,56 @@ class IntervalSuitableSet:
         }
 
 
+def _block_rejects(values, bounds) -> bool:
+    """Whether some output falls in randbelow's rejection region for its bound."""
+    import numpy as np
+
+    # 2**64 % bound, computed in wrapping uint64 arithmetic
+    excess = (np.uint64(0) - bounds) % bounds
+    return bool((values > np.uint64(MASK64) - excess).any())
+
+
+def _inverse(order: list[int], positions: list[int]) -> list[int]:
+    """Ranks of a shuffled order, sharing the int objects of ``positions``."""
+    ranks = [0] * len(order)
+    for position, idx in zip(positions, order):
+        ranks[idx] = position
+    return ranks
+
+
 def draw_interval_perms(
     primes: Sequence[int], seed: int, retry_index: int, count: int
 ) -> list[list[int]]:
-    """Re-derivable draw of ``count`` uniform rank rows for one retry."""
-    rng = SplitMix64(child_seed(seed, retry_index))
+    """Re-derivable draw of ``count`` uniform rank rows for one retry.
+
+    Row j is a Fisher-Yates shuffle of range(len(primes)) consuming the
+    stream's outputs j*(L-1) .. (j+1)*(L-1)-1.  Those outputs come from
+    one block; should any be rejected by ``randbelow`` (probability about
+    L/2**64 each), or should the draw be small, the scalar shuffle draws
+    the rows instead.
+    """
+    length = len(primes)
+    positions = list(range(length))
+    start = child_seed(seed, retry_index)
     rows = []
+    if count * (length - 1) >= NUMPY_MIN_WORK:
+        import numpy as np
+
+        bounds = np.arange(length, 1, -1, dtype=np.uint64)
+        values = SplitMix64(start).next_block(count * (length - 1))
+        values = values.reshape(count, length - 1)
+        if not _block_rejects(values, bounds):
+            for outputs in values:
+                order = positions[:]
+                for i, j in zip(range(length - 1, 0, -1), (outputs % bounds).tolist()):
+                    order[i], order[j] = order[j], order[i]
+                rows.append(_inverse(order, positions))
+            return rows
+    rng = SplitMix64(start)
     for _ in range(count):
-        order = list(range(len(primes)))
+        order = positions[:]
         rng.shuffle(order)
-        ranks = [0] * len(primes)
-        for position, idx in enumerate(order):
-            ranks[idx] = position
-        rows.append(ranks)
+        rows.append(_inverse(order, positions))
     return rows
 
 
@@ -254,19 +412,12 @@ def random_suitable_interval(
         rows = draw_interval_perms(primes, seed, attempt, size)
         verdict = check_interval_suitability(n, primes, rows)
         if verdict:
-            perms = []
-            for row in rows:
-                order: list[int | None] = [None] * length
-                for idx, rk in enumerate(row):
-                    order[rk] = primes[idx]
-                perms.append(Permutation(primes, tuple(order)))
-            perms = tuple(perms)
             return IntervalSuitableSet(
                 n=n,
                 a=a,
                 b=b,
                 primes=primes,
-                perms=perms,
+                ranks=tuple(map(tuple, rows)),
                 seed=seed,
                 retry_index=attempt,
                 target_size=size,
@@ -279,7 +430,7 @@ def random_suitable_interval(
 
 def verify_interval_suitable(s: IntervalSuitableSet) -> Verdict:
     """Independent re-check of the covering property of a stored set."""
-    return check_interval_suitability(s.n, s.primes, s.rank_rows())
+    return check_interval_suitability(s.n, s.primes, s.ranks)
 
 
 @dataclass(frozen=True)
@@ -377,35 +528,69 @@ def coverfree_embedding(
         primes=primes,
         assignment=tuple(range(len(primes))),
     )
-    qualifying = list(_squarefree_index_masks(primes, n))
-    if len(qualifying) > verify_ground_limit:
+    nodes = sorted(_squarefree_nodes(primes, n))
+    if len(nodes) > verify_ground_limit:
         return embedding, Verdict(
             True,
-            note=f"verification skipped: {len(qualifying)} elements exceed "
+            note=f"verification skipped: {len(nodes)} elements exceed "
             f"guard {verify_ground_limit}",
         )
-    masks = {value: mask for value, mask in qualifying}
-    source = FinitePoset.from_predicate(
-        sorted(masks),
-        lambda x, y: masks[x] & ~masks[y] == 0,
-        trusted=True,
-    )
+    members = family.masks()
+    source, image = [], []
+    for _, indices in nodes:
+        source.append(sum(1 << i for i in indices))
+        union = 0
+        for i in indices:
+            union |= members[embedding.assignment[i]]
+        image.append(union)
+    found = _first_containment_mismatch(source, image)
+    if found is None:
+        return embedding, Verdict(True)
+    i, j, kind = found
+    return embedding, Verdict(False, (nodes[i][0], nodes[j][0], kind))
 
-    def image(value: int) -> frozenset:
-        mask = masks[value]
-        out: frozenset = frozenset()
+
+def _first_containment_mismatch(
+    source: Sequence[int], image: Sequence[int]
+) -> tuple[int, int, str] | None:
+    """First (a, b) in row-major order where containment is not preserved.
+
+    ``source[k]`` and ``image[k]`` are sets as bitmasks.  This is
+    ``verify_embedding`` for the map source[k] -> image[k] between the
+    two containment orders: (a, b, "order-lost") when source[a] is
+    contained in source[b] but image[a] not in image[b], (a, b,
+    "order-created") for the converse.  For each row a, the rows holding
+    all of a's elements are one bitmask over rows, the AND of each
+    element's column, so a row costs |a| big-int ANDs, not a scan of b.
+    """
+    everyone = (1 << len(source)) - 1
+
+    def columns(masks: Sequence[int]) -> dict[int, int]:
+        held: dict[int, int] = {}
+        for k, mask in enumerate(masks):
+            while mask:
+                low = mask & -mask
+                e = low.bit_length() - 1
+                held[e] = held.get(e, 0) | 1 << k
+                mask ^= low
+        return held
+
+    def holding(mask: int, held: dict[int, int]) -> int:
+        rows = everyone
         while mask:
-            i = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            out |= family.sets[embedding.assignment[i]]
-        return out
+            low = mask & -mask
+            rows &= held[low.bit_length() - 1]
+            mask ^= low
+        return rows
 
-    phi = {value: image(value) for value in sorted(masks)}
-    targets = sorted(set(phi.values()), key=sorted)
-    target = FinitePoset.from_predicate(
-        targets, lambda x, y: x <= y, trusted=True
-    )
-    return embedding, verify_embedding(source, target, phi)
+    source_held, image_held = columns(source), columns(image)
+    for a, (mask, img) in enumerate(zip(source, image)):
+        above = holding(mask, source_held)
+        differ = above ^ holding(img, image_held)
+        if differ:
+            b = (differ & -differ).bit_length() - 1
+            return a, b, "order-lost" if above >> b & 1 else "order-created"
+    return None
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .base import DomainError, O1_DROPPED_NOTE, ResourceLimitError, RetryBudgetError
@@ -216,6 +215,8 @@ class RealiserCertificate:
     dimension: int
     zones: tuple
     schema_version: int = SCHEMA_VERSION
+    # build-time remarks such as skipped checks; not part of the JSON
+    notes: tuple[str, ...] = field(default=(), compare=False)
 
     def to_json_dict(self) -> dict:
         zones = []
@@ -285,23 +286,26 @@ class RealiserCertificate:
                         ChainZoneCert(z["lo"], z["hi"], tuple(z["primes"]))
                     )
                 elif kind == "random-suitable":
-                    zone = SuitableZoneCert(
-                        z["lo"],
-                        z["hi"],
-                        tuple(z["primes"]),
-                        z["zone_seed"],
-                        z["retry_index"],
-                        z["target_size"],
-                        tuple(tuple(r) for r in z["ranks"]),
-                    )
+                    primes = tuple(z["primes"])
+                    ranks = z["ranks"]
                     # structural sanity only; whether the rows really are
                     # the seeded permutations is verification's job
-                    for row in zone.ranks:
-                        if len(row) != len(zone.primes) or any(
+                    for row in ranks:
+                        if len(row) != len(primes) or any(
                             not isinstance(v, int) or v < 0 for v in row
                         ):
                             raise DomainError("malformed rank row")
-                    zones.append(zone)
+                    zones.append(
+                        SuitableZoneCert(
+                            z["lo"],
+                            z["hi"],
+                            primes,
+                            z["zone_seed"],
+                            z["retry_index"],
+                            z["target_size"],
+                            _share_rank_ints(ranks, len(primes)),
+                        )
+                    )
                 elif kind == "cover-free":
                     zone = CoverFreeZoneCert(
                         z["lo"],
@@ -353,6 +357,20 @@ class RealiserCertificate:
         return cls.from_json_dict(data)
 
 
+def _share_rank_ints(rows: list[list[int]], length: int) -> tuple[tuple[int, ...], ...]:
+    """Rows as tuples whose values below ``length`` share one int object each.
+
+    JSON decoding makes a new int for every number, so at n = 10^5 the
+    loaded rank rows would hold about 12 MB of equal ints; shared, they
+    are little more than their pointers.
+    """
+    shared = list(range(length))
+    return tuple(
+        tuple(map(shared.__getitem__, row)) if row and max(row) < length else tuple(row)
+        for row in rows
+    )
+
+
 def _standard_sigma_ranks(d: int) -> tuple[tuple[int, ...], ...]:
     """d permutations of [d]: the i-th puts element i on top.
 
@@ -376,7 +394,8 @@ def _standard_sigma_ranks(d: int) -> tuple[tuple[int, ...], ...]:
 
 def _build_coverfree_zone(
     n: int, zone: ZonePlan, table: PrimeTable
-) -> CoverFreeZoneCert:
+) -> tuple[CoverFreeZoneCert, str]:
+    """The zone's certificate and the embedding verdict's note ("" when checked)."""
     bp = zone.boost
     base = prime_power_base(bp.q)
     fieldspec = build_field(*base)
@@ -412,7 +431,7 @@ def _build_coverfree_zone(
     suit = check_interval_suitability(n, cert.primes, cert.tau_rank_rows())
     if not suit:
         raise RuntimeError(f"derived orderings not suitable: {suit.witness}")
-    return cert
+    return cert, verdict.note
 
 
 def build_certificate(
@@ -426,6 +445,7 @@ def build_certificate(
     if table.limit < pl.n:
         raise DomainError("prime table does not cover n")
     zones: list = []
+    notes: list[str] = []
     for zi, zone in enumerate(pl.zones):
         if zone.kind == "chains":
             zones.append(ChainZoneCert(zone.lo, zone.hi, zone.primes))
@@ -443,11 +463,17 @@ def build_certificate(
                     zone_seed=zone_seed,
                     retry_index=iss.retry_index,
                     target_size=iss.target_size,
-                    ranks=tuple(tuple(r) for r in iss.rank_rows()),
+                    ranks=iss.ranks,
                 )
             )
         elif zone.kind == "cover-free":
-            zones.append(_build_coverfree_zone(pl.n, zone, table))
+            cert, note = _build_coverfree_zone(pl.n, zone, table)
+            zones.append(cert)
+            if note:
+                notes.append(
+                    f"zone {zi} (cover-free, {len(zone.primes)} primes in "
+                    f"({zone.lo:g}, {zone.hi:g}]): embedding {note}"
+                )
         else:
             raise DomainError(f"unknown zone kind {zone.kind!r}")
     dimension = sum(z.dimension for z in zones)
@@ -458,6 +484,7 @@ def build_certificate(
         max_exponent=max(pl.n.bit_length() - 1, 0),
         dimension=dimension,
         zones=tuple(zones),
+        notes=tuple(notes),
     )
 
 
@@ -472,20 +499,17 @@ class _Coordinate:
     primes: tuple[int, ...]
     ranks: tuple[int, ...] | None  # None marks a chain coordinate
     base: int
-
-    @cached_property
-    def _rank_of(self) -> dict[int, int]:
-        return dict(zip(self.primes, self.ranks))
+    # prime -> its index in ``primes``; one dict serves all of a zone's coordinates
+    index: dict[int, int] | None = field(default=None, compare=False)
 
     def value(self, exponents: dict[int, int]) -> int:
         if self.ranks is None:
             return exponents.get(self.primes[0], 0)
-        rank_of = self._rank_of
         out = 0
         for p, e in exponents.items():
-            rk = rank_of.get(p)
-            if rk is not None:
-                out += e * self.base**rk
+            i = self.index.get(p)
+            if i is not None:
+                out += e * self.base ** self.ranks[i]
         return out
 
 
@@ -496,12 +520,11 @@ def certificate_coordinates(cert: RealiserCertificate) -> list[_Coordinate]:
         if zone.kind == "chains":
             for p in zone.primes:
                 coords.append(_Coordinate((p,), None, base))
-        elif zone.kind == "random-suitable":
-            for row in zone.ranks:
-                coords.append(_Coordinate(zone.primes, tuple(row), base))
-        else:
-            for row in zone.tau_rank_rows():
-                coords.append(_Coordinate(zone.primes, tuple(row), base))
+            continue
+        index = {p: i for i, p in enumerate(zone.primes)}
+        rows = zone.ranks if zone.kind == "random-suitable" else zone.tau_rank_rows()
+        for row in rows:
+            coords.append(_Coordinate(zone.primes, tuple(row), base, index))
     return coords
 
 
@@ -574,7 +597,9 @@ def _integrity_failures(
             rows = draw_interval_perms(
                 zc.primes, zc.zone_seed, zc.retry_index, zc.target_size
             )
-            if tuple(tuple(r) for r in rows) != zc.ranks:
+            if len(rows) != len(zc.ranks) or any(
+                tuple(want) != got for got, want in zip(zc.ranks, rows)
+            ):
                 detail = None
                 for pi, (got, want) in enumerate(zip(zc.ranks, rows)):
                     if tuple(want) != got:

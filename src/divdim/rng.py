@@ -27,6 +27,26 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
         return z ^ (z >> 31)
 
+    def next_block(self, count: int):
+        """The next ``count`` outputs as one numpy uint64 array.
+
+        The generator is counter-based: output k is mix(state + k * gamma),
+        so a block is computed elementwise and equals ``count`` calls of
+        ``next_u64``; the state advances past the block.
+        """
+        import numpy as np
+
+        z = np.arange(1, count + 1, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self.state)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        self.state = (self.state + count * _GAMMA) & MASK64
+        return z
+
     def randbelow(self, bound: int) -> int:
         """Uniform draw from range(bound), unbiased via rejection."""
         if bound <= 0:

@@ -1,0 +1,422 @@
+"""The certificate build's array-backed checks against their oracles.
+
+The interval suitability check, the block draw of rank rows and the
+mask embedding check must give the same verdicts and witnesses as the
+straightforward implementations: the per-row suffix-bitset suitability
+check kept below, the scalar ``SplitMix64.shuffle`` draw, and
+``verify_embedding`` over ``FinitePoset``s.
+"""
+
+import functools
+import math
+import random
+
+import pytest
+
+import divdim.divposets as divposets
+from divdim.base import DomainError, Verdict
+from divdim.cli import main as cli_main
+from divdim.coverfree import SetFamily, build_field, eff_family
+from divdim.divposets import (
+    check_interval_suitability,
+    coverfree_embedding,
+    draw_interval_perms,
+    random_suitable_interval,
+    smooth_numbers,
+)
+from divdim.pipeline import _build_coverfree_zone, plan
+from divdim.posets import FinitePoset, verify_embedding
+from divdim.primes import sieve_primes
+from divdim.rng import MASK64, SplitMix64, child_seed
+
+TABLE = sieve_primes(10**4)
+
+
+# --- oracles -------------------------------------------------------------------
+
+
+def bitset_interval_suitability(n, primes, rank_rows) -> Verdict:
+    """Suitability with L+1 suffix bitmasks per row: O(rows * L^2) bits.
+
+    For each squarefree m in depth-first order, the primes ranked at or
+    above m's top in some row are covered; the first m with an uncovered
+    prime outside it fails, witnessed by its lowest-indexed such prime.
+    """
+    length = len(primes)
+    if not rank_rows:
+        raise DomainError("at least one permutation is required")
+    all_mask = (1 << length) - 1
+    suffixes = []
+    for ranks in rank_rows:
+        if sorted(ranks) != list(range(length)):
+            raise DomainError("rank row is not a permutation")
+        at_rank = [0] * length
+        for idx, rk in enumerate(ranks):
+            at_rank[rk] = idx
+        suf = [0] * (length + 1)
+        for t in range(length - 1, -1, -1):
+            suf[t] = suf[t + 1] | 1 << at_rank[t]
+        suffixes.append(suf)
+
+    def visit(start, value, mask, tops):
+        covered = 0
+        for suf, t in zip(suffixes, tops):
+            covered |= suf[t]
+            if covered == all_mask:
+                break
+        missing = all_mask & ~(covered | mask)
+        if missing:
+            idx = (missing & -missing).bit_length() - 1
+            return Verdict(False, (value, primes[idx]))
+        for i in range(start, length):
+            v = value * primes[i]
+            if v > n:
+                break
+            child = [max(t, ranks[i]) for t, ranks in zip(tops, rank_rows)]
+            bad = visit(i + 1, v, mask | 1 << i, child)
+            if bad is not None:
+                return bad
+        return None
+
+    bad = visit(0, 1, 0, [0] * len(rank_rows))
+    return bad if bad is not None else Verdict(True)
+
+
+def scalar_draw(length, seed, retry_index, count):
+    """Rank rows from one SplitMix64 stream, one ``shuffle`` per row."""
+    rng = SplitMix64(child_seed(seed, retry_index))
+    rows = []
+    for _ in range(count):
+        order = list(range(length))
+        rng.shuffle(order)
+        ranks = [0] * length
+        for position, idx in enumerate(order):
+            ranks[idx] = position
+        rows.append(ranks)
+    return rows
+
+
+def poset_embedding_verdict(n, primes, family) -> Verdict:
+    """Two-sided embedding check of the squarefree order over ``primes``
+    into containment of family unions, through two FinitePosets."""
+    masks = {}
+    for m in smooth_numbers(primes, n, squarefree=True):
+        masks[m] = sum(1 << i for i, p in enumerate(primes) if m % p == 0)
+    source = FinitePoset.from_predicate(
+        sorted(masks), lambda x, y: masks[x] & ~masks[y] == 0, trusted=True
+    )
+    phi = {}
+    for value, mask in masks.items():
+        image = frozenset()
+        for i in range(len(primes)):
+            if mask >> i & 1:
+                image |= family.sets[i]
+        phi[value] = image
+    targets = sorted(set(phi.values()), key=sorted)
+    target = FinitePoset.from_predicate(targets, lambda x, y: x <= y, trusted=True)
+    return verify_embedding(source, target, phi)
+
+
+def assert_same(new: Verdict, old: Verdict):
+    assert (new.ok, new.witness) == (old.ok, old.witness)
+
+
+def draw_size(n, a, length):
+    return math.ceil(math.log(n * length) * math.log(n) / math.log(a))
+
+
+@pytest.fixture(params=["python", "numpy"])
+def path(request, monkeypatch):
+    """Run the draw and the suitability check on one of their two paths."""
+    limit = 1 if request.param == "numpy" else 1 << 62
+    monkeypatch.setattr(divposets, "NUMPY_MIN_WORK", limit)
+    return request.param
+
+
+# --- suitability ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_suitability_matches_oracle_above_sqrt(seed, path):
+    # like (391.7, 10^5]: every qualifying m is 1 or a single prime
+    n = 4000
+    a = n**0.5
+    primes = TABLE.primes_in(a, n)
+    rows = draw_interval_perms(primes, seed, 0, draw_size(n, a, len(primes)))
+    for size in (len(rows), 16, 12, 8):
+        assert_same(
+            check_interval_suitability(n, primes, rows[:size]),
+            bitset_interval_suitability(n, primes, rows[:size]),
+        )
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_suitability_matches_oracle_with_products(seed, path):
+    # like (5, 50]: composite squarefree m up to three primes deep
+    n = (200, 1000, 2500)[seed % 3]
+    primes = TABLE.primes_in(5, 50)
+    rows = draw_interval_perms(primes, seed, 0, draw_size(n, 5, len(primes)))
+    for size in (len(rows), 16, 12, 8, 3, 1):
+        assert_same(
+            check_interval_suitability(n, primes, rows[:size]),
+            bitset_interval_suitability(n, primes, rows[:size]),
+        )
+
+
+def test_suitability_planted_failures_fail_alike(path):
+    n = 4000
+    primes = TABLE.primes_in(n**0.5, n)
+    s = random_suitable_interval(n, n**0.5, n, 5, TABLE)
+    rows = s.rank_rows()
+    assert check_interval_suitability(n, primes, rows)
+    for size in (8, 12, 16):
+        new = check_interval_suitability(n, primes, rows[:size])
+        assert not new
+        assert_same(new, bitset_interval_suitability(n, primes, rows[:size]))
+
+
+def test_suitability_matches_oracle_at_1e5_truncated(path):
+    table = sieve_primes(10**5)
+    n, a = 10**5, 391.72003526196266
+    primes = table.primes_in(a, n)
+    rows = draw_interval_perms(primes, 11, 0, 8)
+    new = check_interval_suitability(n, primes, rows)
+    assert not new
+    assert_same(new, bitset_interval_suitability(n, primes, rows))
+
+
+@pytest.fixture(scope="module")
+def coverfree_zones_1e5():
+    table = sieve_primes(10**5)
+    zones = [z for z in plan(10**5, 0.5, table).zones if z.kind == "cover-free"]
+    assert len(zones) == 2
+    return [_build_coverfree_zone(10**5, z, table)[0] for z in zones]
+
+
+def test_suitability_matches_oracle_on_coverfree_orderings(coverfree_zones_1e5, path):
+    n = 10**5
+    for zone in coverfree_zones_1e5:
+        rows = zone.tau_rank_rows()
+        verdicts = []
+        for size in (len(rows), 64, 16, 12, 8, 2):
+            new = check_interval_suitability(n, zone.primes, rows[:size])
+            assert_same(new, bitset_interval_suitability(n, zone.primes, rows[:size]))
+            verdicts.append(new.ok)
+        assert verdicts[0] and not all(verdicts)
+        shuffled = rows[:]
+        random.Random(len(rows)).shuffle(shuffled)
+        for size in (40, 20):
+            assert_same(
+                check_interval_suitability(n, zone.primes, shuffled[:size]),
+                bitset_interval_suitability(n, zone.primes, shuffled[:size]),
+            )
+
+
+def test_suitability_block_boundaries(monkeypatch):
+    # tiny blocks split the nodes and the candidates many times over
+    monkeypatch.setattr(divposets, "NUMPY_MIN_WORK", 1)
+    primes = TABLE.primes_in(5, 50)
+    rows = draw_interval_perms(primes, 3, 0, 6)
+    expected = bitset_interval_suitability(2500, primes, rows)
+    for block in (1, 7, 64):
+        monkeypatch.setattr(divposets, "SUITABILITY_BLOCK", block)
+        assert_same(check_interval_suitability(2500, primes, rows), expected)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [],
+        [[0, 0, 1]],
+        [[0, 1]],
+        [[0, 1, 3]],
+        [[0, 1, 2], [0, 1]],
+        [[0.0, 1.0, 2.0]],
+        [[-1, 0, 1]],
+    ],
+)
+def test_suitability_rejects_non_permutations(rows, path):
+    with pytest.raises(DomainError):
+        check_interval_suitability(100, (7, 11, 13), rows)
+
+
+# --- draws ------------------------------------------------------------------------
+
+
+@pytest.fixture
+def block(monkeypatch):
+    """Draw every row set through the numpy block, however small."""
+    monkeypatch.setattr(divposets, "NUMPY_MIN_WORK", 1)
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 100])
+def test_block_draw_equals_scalar_draw(length, block):
+    primes = tuple(range(length))
+    for seed in (0, 1, 2**63 + 5, MASK64):
+        for retry in range(4):
+            for count in (0, 1, 2, 7):
+                assert draw_interval_perms(primes, seed, retry, count) == scalar_draw(
+                    length, seed, retry, count
+                )
+
+
+def test_block_draw_equals_scalar_draw_long_rows(block):
+    primes = tuple(range(9515))
+    for seed, retry in ((0, 0), (12345, 3)):
+        assert draw_interval_perms(primes, seed, retry, 2) == scalar_draw(
+            9515, seed, retry, 2
+        )
+
+
+def test_draw_either_side_of_the_numpy_cutoff():
+    # 6 rows of 9515 stay below NUMPY_MIN_WORK outputs, 7 rows reach it
+    primes = tuple(range(9515))
+    assert 6 * 9514 < divposets.NUMPY_MIN_WORK <= 7 * 9514
+    for count in (6, 7):
+        assert draw_interval_perms(primes, 3, 1, count) == scalar_draw(9515, 3, 1, count)
+
+
+def test_rejection_fallback_keeps_rows(monkeypatch, block):
+    primes = tuple(range(50))
+    expected = draw_interval_perms(primes, 9, 1, 5)
+    calls = []
+
+    def always(values, bounds):
+        calls.append(values.shape)
+        return True
+
+    monkeypatch.setattr(divposets, "_block_rejects", always)
+    assert draw_interval_perms(primes, 9, 1, 5) == expected == scalar_draw(50, 9, 1, 5)
+    assert calls == [(5, 49)]
+
+
+def test_block_rejection_region_matches_randbelow():
+    import numpy as np
+
+    for bound in (2, 3, 5, 7, 100, 9515, 2**32 + 1):
+        limit = (MASK64 + 1) - (MASK64 + 1) % bound
+        bounds = np.array([bound], dtype=np.uint64)
+        if limit <= MASK64:
+            assert divposets._block_rejects(np.array([[limit]], dtype=np.uint64), bounds)
+        assert not divposets._block_rejects(
+            np.array([[limit - 1]], dtype=np.uint64), bounds
+        )
+
+
+def test_next_block_equals_next_u64():
+    for seed in (0, 7, MASK64):
+        a, b = SplitMix64(seed), SplitMix64(seed)
+        assert a.next_block(300).tolist() == [b.next_u64() for _ in range(300)]
+        assert a.state == b.state
+        assert a.next_block(0).size == 0 and a.next_u64() == b.next_u64()
+
+
+# --- embeddings ----------------------------------------------------------------------
+
+
+def test_embedding_matches_oracle_on_gf3_instance():
+    family = eff_family(build_field(3, 1), 1)
+    _, verdict = coverfree_embedding(9, 3, 31, family, 2, TABLE)
+    assert verdict and verdict.note == ""
+    assert_same(verdict, poset_embedding_verdict(9, TABLE.primes_in(3, 31), family))
+
+
+def test_embedding_matches_oracle_on_planted_family():
+    sets = [frozenset({0}), frozenset({1}), frozenset({0, 1})] + [
+        frozenset({i}) for i in range(2, 8)
+    ]
+    family = SetFamily(9, tuple(sets))
+    _, verdict = coverfree_embedding(35, 3, 31, family, 4, TABLE)
+    assert not verdict and verdict.witness[2] == "order-created"
+    assert_same(verdict, poset_embedding_verdict(35, TABLE.primes_in(3, 31), family))
+
+
+def test_embedding_matches_oracle_on_random_families():
+    rng = random.Random(2024)
+    primes = TABLE.primes_in(3, 31)
+    outcomes = set()
+    for _ in range(60):
+        ground = rng.randint(4, 16)
+        sets = set()
+        while len(sets) < len(primes):
+            sets.add(frozenset(e for e in range(ground) if rng.random() < 0.4))
+        family = SetFamily(ground, tuple(sets))
+        n = rng.choice((35, 100, 243))
+        _, verdict = coverfree_embedding(n, 3, 31, family, 5, TABLE)
+        assert_same(verdict, poset_embedding_verdict(n, primes, family))
+        outcomes.add(verdict.witness[2] if not verdict else "ok")
+    assert {"ok", "order-created"} <= outcomes
+
+
+def test_mask_check_matches_verify_embedding_both_directions():
+    # arbitrary images, not unions of members, so order can also be lost
+    rng = random.Random(7)
+    kinds = set()
+    for _ in range(200):
+        width, height = rng.randint(1, 5), rng.randint(1, 5)
+        count = rng.randint(1, 2**width)
+        masks = rng.sample(range(2**width), count)
+        images = [rng.randrange(2**height) for _ in masks]
+        source = FinitePoset.from_predicate(
+            range(count), lambda x, y: masks[x] & ~masks[y] == 0, trusted=True
+        )
+        as_sets = [frozenset(e for e in range(height) if m >> e & 1) for m in images]
+        targets = sorted(set(as_sets), key=sorted)
+        target = FinitePoset.from_predicate(targets, lambda x, y: x <= y, trusted=True)
+        expected = verify_embedding(source, target, dict(enumerate(as_sets)))
+        found = divposets._first_containment_mismatch(masks, images)
+        assert found == (None if expected else expected.witness)
+        if found:
+            kinds.add(found[2])
+    assert kinds == {"order-lost", "order-created"}
+
+
+# --- skipped checks are reported ------------------------------------------------------
+
+
+def test_certify_reports_skipped_embedding_check(tmp_path, capsys, monkeypatch):
+    checked = tmp_path / "checked.json"
+    assert cli_main(["certify", "--n", "1000", "--seed", "0", "--out", str(checked)]) == 0
+    assert "note:" not in capsys.readouterr().out
+
+    import divdim.pipeline as pipeline
+
+    monkeypatch.setattr(
+        pipeline,
+        "coverfree_embedding",
+        functools.partial(coverfree_embedding, verify_ground_limit=1),
+    )
+    skipped = tmp_path / "skipped.json"
+    assert cli_main(["certify", "--n", "1000", "--seed", "0", "--out", str(skipped)]) == 0
+    notes = [line for line in capsys.readouterr().out.splitlines() if line.startswith("note:")]
+    assert notes == [
+        "note: zone 1 (cover-free, 4 primes in (24.69, 41.8929]): embedding "
+        "verification skipped: 6 elements exceed guard 1"
+    ]
+    assert skipped.read_bytes() == checked.read_bytes()
+
+
+def test_small_certificate_builds_without_numpy(tmp_path):
+    # importing numpy costs a fresh process about 0.1 s, more than the
+    # whole n = 2000 build, so small inputs take the plain-Python paths
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import divdim
+
+    script = (
+        "import sys; from divdim.cli import main; "
+        "main(['certify', '--n', '2000', '--seed', '0', '--out', sys.argv[1]]); "
+        "print('numpy' in sys.modules)"
+    )
+    src = str(Path(divdim.__file__).parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "cert.json")],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.splitlines()[-1] == "False"
