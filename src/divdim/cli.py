@@ -7,6 +7,7 @@ stderr), 2 usage or domain error, 3 resource guard or retry budget.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -25,7 +26,6 @@ from .divposets import (
     verify_interval_suitable,
 )
 from .pipeline import (
-    EXHAUSTIVE_VERIFY_GUARD,
     RealiserCertificate,
     bound_table,
     build_certificate,
@@ -180,35 +180,12 @@ def _cmd_certify(args) -> int:
 
 def _cmd_verify(args) -> int:
     cert = RealiserCertificate.loads(Path(args.cert).read_text())
-    table = sieve_primes(max(cert.n, 2))
-    if args.sampled:
-        report = verify_certificate(
-            cert, table, mode="sampled", samples=args.sampled, sample_seed=args.seed
-        )
-    else:
-        if cert.n > EXHAUSTIVE_VERIFY_GUARD:
-            print(
-                f"n={cert.n} is above the exhaustive guard "
-                f"({EXHAUSTIVE_VERIFY_GUARD}); pass --sampled N",
-                file=sys.stderr,
-            )
-            return EXIT_RESOURCE
-        report = verify_certificate(cert, table, workers=args.workers)
+    mode = "sampled" if args.sampled else "exhaustive"
+    report = verify_certificate(
+        cert, mode=mode, samples=args.sampled, sample_seed=args.seed
+    )
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "ok": report.ok,
-                    "mode": report.mode,
-                    "pairs_checked": report.pairs_checked,
-                    "pair_failures": [list(w) for w in report.pair_failures],
-                    "integrity_failures": [list(w) for w in report.integrity_failures],
-                    "wall_time": report.wall_time,
-                    "notes": list(report.notes),
-                },
-                sort_keys=True,
-            )
-        )
+        print(json.dumps(dataclasses.asdict(report), sort_keys=True))
     else:
         print(report.summary())
     if not report.ok:
@@ -304,10 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cert", required=True)
     p.add_argument("--sampled", type=int, default=None, metavar="N")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--workers", type=int, default=1,
-        help="threads for exhaustive pair checking (result is worker-independent)",
-    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 

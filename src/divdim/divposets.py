@@ -22,7 +22,7 @@ from .primes import PrimeTable, factorize
 from .rng import MASK64, SplitMix64, child_seed
 
 RETRY_BUDGET = 8
-EMBEDDING_VERIFY_GUARD = 5000
+EMBEDDING_VERIFY_GUARD = 10_000
 EXACT_SIZE_HINT = 25
 # Below this many draw outputs or (row, node) pairs, plain Python finishes
 # sooner than importing numpy (about 0.1 s) would, so small certificates
@@ -375,6 +375,24 @@ def suitable_size_cap(n: int, a: float) -> int:
     return math.ceil(2 * math.log(n) ** 2 / math.log(a))
 
 
+def suitable_draw_size(
+    n: int, a: float, length: int, attempt: int, retry_budget: int = RETRY_BUDGET
+) -> int:
+    """Rows drawn at one attempt for ``length`` primes in (a, b].
+
+    The size is ceil(log(nL) log n / log a) for L = ``length``, which
+    never exceeds the cap of ceil(2 (log n)^2 / log a) since L <= n.
+    From half the budget on it is doubled (then clamped back to the cap).
+    A single prime needs only the one trivial permutation.
+    """
+    cap = suitable_size_cap(n, a)
+    if length == 1:
+        d0 = 1
+    else:
+        d0 = min(math.ceil(math.log(n * length) * math.log(n) / math.log(a)), cap)
+    return d0 if attempt < retry_budget // 2 else min(2 * d0, cap)
+
+
 def random_suitable_interval(
     n: int,
     a: float,
@@ -386,11 +404,8 @@ def random_suitable_interval(
 ) -> IntervalSuitableSet:
     """Draw and verify a suitable set for the primes in (a, b].
 
-    The draw size is ceil(log(nL) log n / log a) for L interval primes,
-    which never exceeds the cap of ceil(2 (log n)^2 / log a) since L <= n.
-    Failed draws are retried with derived child seeds; after half the
-    budget the draw size is doubled (then clamped back to the cap).  A
-    single-prime interval needs only the one trivial permutation.
+    Failed draws are retried with derived child seeds, at the sizes of
+    ``suitable_draw_size``.
     """
     if a < 2:
         raise DomainError("a must be at least 2 so log a is positive")
@@ -399,16 +414,8 @@ def random_suitable_interval(
     primes = table.primes_in(a, b)
     if not primes:
         raise DomainError(f"no primes in ({a}, {b}]")
-    length = len(primes)
-    cap = suitable_size_cap(n, a)
-    if length == 1:
-        d0 = 1
-    else:
-        d0 = min(math.ceil(math.log(n * length) * math.log(n) / math.log(a)), cap)
-    last_size = d0
     for attempt in range(retry_budget):
-        size = d0 if attempt < retry_budget // 2 else min(2 * d0, cap)
-        last_size = size
+        size = suitable_draw_size(n, a, len(primes), attempt, retry_budget)
         rows = draw_interval_perms(primes, seed, attempt, size)
         verdict = check_interval_suitability(n, primes, rows)
         if verdict:
@@ -424,7 +431,8 @@ def random_suitable_interval(
             )
     raise RetryBudgetError(
         f"no suitable set found for ({a}, {b}] with n={n} in {retry_budget} "
-        f"retries at draw size {last_size}"
+        f"retries at draw size "
+        f"{suitable_draw_size(n, a, len(primes), retry_budget - 1, retry_budget)}"
     )
 
 

@@ -12,20 +12,22 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable
 
 from .base import DomainError, O1_DROPPED_NOTE, ResourceLimitError, RetryBudgetError
-from .coverfree import build_field, eff_family
+from .coverfree import SetFamily, build_field, eff_family
 from .divposets import (
+    RETRY_BUDGET,
     BoostParams,
     boost_params,
     check_interval_suitability,
     coverfree_embedding,
     draw_interval_perms,
     random_suitable_interval,
-    suitable_size_cap,
+    suitable_draw_size,
 )
 from .primes import PrimeTable, factorize, prime_power_base, sieve_primes
 from .rng import SplitMix64, child_seed
@@ -131,6 +133,10 @@ def plan(n: int, eps: float = 0.5, table: PrimeTable | None = None) -> PipelineP
 # certificates
 
 
+# cover-free field parameters sit under one "field" object in the JSON
+_IN_FIELD = {"group": "field"}
+
+
 @dataclass(frozen=True)
 class ChainZoneCert:
     lo: float
@@ -142,6 +148,9 @@ class ChainZoneCert:
     @property
     def dimension(self) -> int:
         return len(self.primes)
+
+    def check_shape(self) -> None:
+        """Nothing to check: the primes alone give the chains."""
 
 
 @dataclass(frozen=True)
@@ -160,15 +169,25 @@ class SuitableZoneCert:
     def dimension(self) -> int:
         return len(self.ranks)
 
+    def check_shape(self) -> None:
+        """Structural sanity of loaded rows.
+
+        Whether the rows really are the seeded permutations is
+        verification's job.
+        """
+        for row in self.ranks:
+            if len(row) != len(self.primes) or not _naturals(row):
+                raise DomainError("malformed rank row")
+
 
 @dataclass(frozen=True)
 class CoverFreeZoneCert:
     lo: float
     hi: float
     primes: tuple[int, ...]
-    p: int
-    k: int
-    modulus: tuple[int, ...]
+    p: int = field(metadata=_IN_FIELD)
+    k: int = field(metadata=_IN_FIELD)
+    modulus: tuple[int, ...] = field(metadata=_IN_FIELD)
     h: int
     r: int
     ground_size: int
@@ -182,6 +201,19 @@ class CoverFreeZoneCert:
     @property
     def dimension(self) -> int:
         return self.ground_size
+
+    def check_shape(self) -> None:
+        """Structural sanity of loaded members, assignment and ground rows."""
+        for member in self.family:
+            if any(not 0 <= e < self.ground_size for e in member):
+                raise DomainError("family element outside the ground")
+        if len(self.phi) != len(self.primes) or any(
+            not 0 <= i < len(self.family) for i in self.phi
+        ):
+            raise DomainError("malformed member assignment")
+        for row in self.sigma_ranks:
+            if len(row) != self.ground_size or not _naturals(row):
+                raise DomainError("malformed ground permutation")
 
     def tau_rank_rows(self) -> list[list[int]]:
         """Zone-prime orderings induced by the family images.
@@ -204,6 +236,44 @@ class CoverFreeZoneCert:
         return rows
 
 
+_ZONE_TYPES = {z.kind: z for z in (ChainZoneCert, SuitableZoneCert, CoverFreeZoneCert)}
+
+
+def _naturals(row) -> bool:
+    return all(isinstance(v, int) and v >= 0 for v in row)
+
+
+def _zone_json(zone) -> dict:
+    """A zone's fields as JSON values; tuples encode as JSON arrays."""
+    out = {"kind": zone.kind}
+    for f in fields(zone):
+        group = f.metadata.get("group")
+        (out.setdefault(group, {}) if group else out)[f.name] = getattr(zone, f.name)
+    return out
+
+
+def _zone_from_json(data: dict):
+    zone_type = _ZONE_TYPES.get(data["kind"])
+    if zone_type is None:
+        raise DomainError(f"unknown zone kind {data['kind']!r}")
+    values = {}
+    for f in fields(zone_type):
+        group = f.metadata.get("group")
+        values[f.name] = _decoded((data[group] if group else data)[f.name])
+    zone = zone_type(**values)
+    zone.check_shape()
+    return zone
+
+
+def _decoded(value):
+    """A JSON value with its arrays as tuples; an array of arrays is rows."""
+    if not isinstance(value, list):
+        return value
+    if value and all(isinstance(row, list) for row in value):
+        return _share_rank_ints(value, max(map(len, value)))
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class RealiserCertificate:
     """Serialisable proof object for dim(divisibility on [n]) <= dimension."""
@@ -219,42 +289,6 @@ class RealiserCertificate:
     notes: tuple[str, ...] = field(default=(), compare=False)
 
     def to_json_dict(self) -> dict:
-        zones = []
-        for z in self.zones:
-            if z.kind == "chains":
-                zones.append(
-                    {"kind": z.kind, "lo": z.lo, "hi": z.hi, "primes": list(z.primes)}
-                )
-            elif z.kind == "random-suitable":
-                zones.append(
-                    {
-                        "kind": z.kind,
-                        "lo": z.lo,
-                        "hi": z.hi,
-                        "primes": list(z.primes),
-                        "zone_seed": z.zone_seed,
-                        "retry_index": z.retry_index,
-                        "target_size": z.target_size,
-                        "ranks": [list(r) for r in z.ranks],
-                    }
-                )
-            else:
-                zones.append(
-                    {
-                        "kind": z.kind,
-                        "lo": z.lo,
-                        "hi": z.hi,
-                        "primes": list(z.primes),
-                        "field": {"p": z.p, "k": z.k, "modulus": list(z.modulus)},
-                        "h": z.h,
-                        "r": z.r,
-                        "ground_size": z.ground_size,
-                        "capacity": z.capacity,
-                        "family": [list(s) for s in z.family],
-                        "phi": list(z.phi),
-                        "sigma_ranks": [list(s) for s in z.sigma_ranks],
-                    }
-                )
         return {
             "format": CERTIFICATE_FORMAT,
             "schema_version": self.schema_version,
@@ -263,87 +297,29 @@ class RealiserCertificate:
             "seed": self.seed,
             "max_exponent": self.max_exponent,
             "dimension": self.dimension,
-            "zones": zones,
+            "zones": [_zone_json(z) for z in self.zones],
         }
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        """Canonical compact JSON: sorted keys, no whitespace, one final newline."""
+        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RealiserCertificate":
         try:
-            if data.get("format") != CERTIFICATE_FORMAT:
+            if not isinstance(data, dict) or data.get("format") != CERTIFICATE_FORMAT:
                 raise DomainError("not a certificate file")
             if data["schema_version"] != SCHEMA_VERSION:
                 raise DomainError(
                     f"unsupported schema_version {data['schema_version']}"
                 )
-            zones: list = []
-            for z in data["zones"]:
-                kind = z["kind"]
-                if kind == "chains":
-                    zones.append(
-                        ChainZoneCert(z["lo"], z["hi"], tuple(z["primes"]))
-                    )
-                elif kind == "random-suitable":
-                    primes = tuple(z["primes"])
-                    ranks = z["ranks"]
-                    # structural sanity only; whether the rows really are
-                    # the seeded permutations is verification's job
-                    for row in ranks:
-                        if len(row) != len(primes) or any(
-                            not isinstance(v, int) or v < 0 for v in row
-                        ):
-                            raise DomainError("malformed rank row")
-                    zones.append(
-                        SuitableZoneCert(
-                            z["lo"],
-                            z["hi"],
-                            primes,
-                            z["zone_seed"],
-                            z["retry_index"],
-                            z["target_size"],
-                            _share_rank_ints(ranks, len(primes)),
-                        )
-                    )
-                elif kind == "cover-free":
-                    zone = CoverFreeZoneCert(
-                        z["lo"],
-                        z["hi"],
-                        tuple(z["primes"]),
-                        z["field"]["p"],
-                        z["field"]["k"],
-                        tuple(z["field"]["modulus"]),
-                        z["h"],
-                        z["r"],
-                        z["ground_size"],
-                        z["capacity"],
-                        tuple(tuple(s) for s in z["family"]),
-                        tuple(z["phi"]),
-                        tuple(tuple(s) for s in z["sigma_ranks"]),
-                    )
-                    for member in zone.family:
-                        if any(not 0 <= e < zone.ground_size for e in member):
-                            raise DomainError("family element outside the ground")
-                    if len(zone.phi) != len(zone.primes) or any(
-                        not 0 <= i < len(zone.family) for i in zone.phi
-                    ):
-                        raise DomainError("malformed member assignment")
-                    for row in zone.sigma_ranks:
-                        if len(row) != zone.ground_size or any(
-                            not isinstance(v, int) or v < 0 for v in row
-                        ):
-                            raise DomainError("malformed ground permutation")
-                    zones.append(zone)
-                else:
-                    raise DomainError(f"unknown zone kind {kind!r}")
             return cls(
                 n=data["n"],
                 eps=data["eps"],
                 seed=data["seed"],
                 max_exponent=data["max_exponent"],
                 dimension=data["dimension"],
-                zones=tuple(zones),
+                zones=tuple(_zone_from_json(z) for z in data["zones"]),
             )
         except (KeyError, TypeError) as exc:
             raise DomainError(f"malformed certificate: {exc}") from exc
@@ -358,7 +334,7 @@ class RealiserCertificate:
 
 
 def _share_rank_ints(rows: list[list[int]], length: int) -> tuple[tuple[int, ...], ...]:
-    """Rows as tuples whose values below ``length`` share one int object each.
+    """Rows as tuples whose values in range(length) share one int object each.
 
     JSON decoding makes a new int for every number, so at n = 10^5 the
     loaded rank rows would hold about 12 MB of equal ints; shared, they
@@ -366,7 +342,9 @@ def _share_rank_ints(rows: list[list[int]], length: int) -> tuple[tuple[int, ...
     """
     shared = list(range(length))
     return tuple(
-        tuple(map(shared.__getitem__, row)) if row and max(row) < length else tuple(row)
+        tuple(map(shared.__getitem__, row))
+        if row and 0 <= min(row) and max(row) < length
+        else tuple(row)
         for row in rows
     )
 
@@ -392,31 +370,19 @@ def _standard_sigma_ranks(d: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _build_coverfree_zone(
-    n: int, zone: ZonePlan, table: PrimeTable
-) -> tuple[CoverFreeZoneCert, str]:
-    """The zone's certificate and the embedding verdict's note ("" when checked)."""
-    bp = zone.boost
-    base = prime_power_base(bp.q)
-    fieldspec = build_field(*base)
-    count = len(zone.primes)
-    family = eff_family(fieldspec, bp.h, count=count)
-    if bp.capacity < count:
-        raise DomainError("family capacity below the zone's prime count")
-    masks = family.masks()
-    for i in range(len(masks)):
-        for j in range(i + 1, len(masks)):
-            if (masks[i] & masks[j]).bit_count() > bp.h:
-                raise RuntimeError("polynomial graphs intersect above the degree bound")
-    embedding, verdict = coverfree_embedding(
-        n, zone.lo, zone.hi, family, bp.r, table
-    )
-    if not verdict:
-        raise RuntimeError(f"cover-free embedding failed verification: {verdict.witness}")
-    cert = CoverFreeZoneCert(
-        lo=zone.lo,
-        hi=zone.hi,
-        primes=zone.primes,
+def _coverfree_zone(zp: ZonePlan) -> CoverFreeZoneCert:
+    """A cover-free zone from its boost parameters alone.
+
+    That is the field, the family, the canonical phi and the standard
+    ground permutations.
+    """
+    bp = zp.boost
+    fieldspec = build_field(*prime_power_base(bp.q))
+    family = eff_family(fieldspec, bp.h, count=len(zp.primes))
+    return CoverFreeZoneCert(
+        lo=zp.lo,
+        hi=zp.hi,
+        primes=zp.primes,
         p=fieldspec.p,
         k=fieldspec.k,
         modulus=fieldspec.modulus,
@@ -425,9 +391,50 @@ def _build_coverfree_zone(
         ground_size=fieldspec.q**2,
         capacity=bp.capacity,
         family=tuple(tuple(sorted(s)) for s in family.sets),
-        phi=embedding.assignment,
+        phi=tuple(range(len(zp.primes))),
         sigma_ranks=_standard_sigma_ranks(fieldspec.q**2),
     )
+
+
+def _derive_zone(n: int, zi: int, zp: ZonePlan, seed: int, retry_index: int):
+    """Zone ``zi`` of the certificate for (plan, seed), given its one recipe input.
+
+    Chains come from the plan alone and cover-free zones from its boost
+    parameters.  A random-suitable zone is the draw at ``retry_index``
+    (which must lie in range(RETRY_BUDGET)) of the stream
+    child_seed(seed, zi), at the size ``suitable_draw_size`` gives.  No
+    recorded value sizes a computation here.
+    """
+    if zp.kind == "chains":
+        return ChainZoneCert(zp.lo, zp.hi, zp.primes)
+    if zp.kind == "cover-free":
+        return _coverfree_zone(zp)
+    zone_seed = child_seed(seed, zi)
+    size = suitable_draw_size(n, zp.lo, len(zp.primes), retry_index)
+    # the rows stay lists: they are compared one at a time, never copied
+    rows = draw_interval_perms(zp.primes, zone_seed, retry_index, size)
+    return SuitableZoneCert(zp.lo, zp.hi, zp.primes, zone_seed, retry_index, size, rows)
+
+
+def _build_coverfree_zone(
+    n: int, zone: ZonePlan, table: PrimeTable
+) -> tuple[CoverFreeZoneCert, str]:
+    """The zone's checked certificate and the embedding verdict's note.
+
+    The note is "" when the embedding check ran.
+    """
+    cert = _coverfree_zone(zone)
+    if cert.capacity < len(cert.primes):
+        raise DomainError("family capacity below the zone's prime count")
+    family = SetFamily(cert.ground_size, tuple(map(frozenset, cert.family)))
+    masks = family.masks()
+    for i in range(len(masks)):
+        for j in range(i + 1, len(masks)):
+            if (masks[i] & masks[j]).bit_count() > cert.h:
+                raise RuntimeError("polynomial graphs intersect above the degree bound")
+    _, verdict = coverfree_embedding(n, zone.lo, zone.hi, family, cert.r, table)
+    if not verdict:
+        raise RuntimeError(f"cover-free embedding failed verification: {verdict.witness}")
     suit = check_interval_suitability(n, cert.primes, cert.tau_rank_rows())
     if not suit:
         raise RuntimeError(f"derived orderings not suitable: {suit.witness}")
@@ -560,89 +567,56 @@ class VerificationReport:
 def _integrity_failures(
     cert: RealiserCertificate, table: PrimeTable
 ) -> list[tuple]:
-    """Re-derive every recorded recipe and report mismatches.
+    """Re-plan, derive every zone, and report where the record departs.
 
-    Randomized zones are re-drawn from their recorded (seed, retry);
-    cover-free zones are rebuilt from the field parameters.  Any edit of
-    a recorded rank therefore shows up as a derivation mismatch.
+    Each zone is derived from the recomputed plan, the master seed and,
+    for a random-suitable zone, its recorded retry index, so any edit of
+    a recorded value shows up as a mismatch with the derivation.
     """
-    problems: list[tuple] = []
     try:
         expected = plan(cert.n, cert.eps, table)
     except DomainError as exc:
         return [("plan", str(exc))]
     if len(expected.zones) != len(cert.zones):
-        problems.append(
-            ("plan", f"expected {len(expected.zones)} zones, found {len(cert.zones)}")
-        )
-        return problems
+        found = f"expected {len(expected.zones)} zones, found {len(cert.zones)}"
+        return [("plan", found)]
+    problems: list[tuple] = []
     if cert.max_exponent != max(cert.n.bit_length() - 1, 0):
         problems.append(("max_exponent", cert.max_exponent))
     if cert.dimension != sum(z.dimension for z in cert.zones):
         problems.append(("dimension", cert.dimension))
     for zi, (zp, zc) in enumerate(zip(expected.zones, cert.zones)):
-        where = f"zone {zi} ({zc.kind})"
-        if (
-            zp.kind != zc.kind
-            or zp.primes != zc.primes
-            or zp.lo != zc.lo
-            or zp.hi != zc.hi
-        ):
-            problems.append((where, "zone does not match the recomputed plan"))
-            continue
-        if zc.kind == "random-suitable":
-            if zc.zone_seed != child_seed(cert.seed, zi):
-                problems.append((where, "zone seed does not derive from the master seed"))
-                continue
-            rows = draw_interval_perms(
-                zc.primes, zc.zone_seed, zc.retry_index, zc.target_size
-            )
-            if len(rows) != len(zc.ranks) or any(
-                tuple(want) != got for got, want in zip(zc.ranks, rows)
-            ):
-                detail = None
-                for pi, (got, want) in enumerate(zip(zc.ranks, rows)):
-                    if tuple(want) != got:
-                        detail = f"permutation {pi} differs from its seeded draw"
-                        break
-                problems.append((where, detail or "rank rows differ from seeded draw"))
-            cap = suitable_size_cap(cert.n, zc.lo)
-            if len(zc.ranks) > cap:
-                problems.append((where, f"{len(zc.ranks)} permutations exceed cap {cap}"))
-        elif zc.kind == "cover-free":
-            bp = zp.boost
-            base = prime_power_base(bp.q)
-            fieldspec = build_field(*base)
-            if (fieldspec.p, fieldspec.k, fieldspec.modulus) != (
-                zc.p,
-                zc.k,
-                zc.modulus,
-            ):
-                problems.append((where, "field parameters differ from derivation"))
-                continue
-            family = eff_family(fieldspec, zc.h, count=len(zc.primes))
-            expected_family = tuple(tuple(sorted(s)) for s in family.sets)
-            if expected_family != zc.family:
-                problems.append((where, "family differs from the polynomial derivation"))
-            if zc.phi != tuple(range(len(zc.primes))):
-                problems.append((where, "phi is not the canonical assignment"))
-            if zc.sigma_ranks != _standard_sigma_ranks(zc.ground_size):
-                detail = "sigma ranks differ from the canonical permutations"
-                for si, (got, want) in enumerate(
-                    zip(zc.sigma_ranks, _standard_sigma_ranks(zc.ground_size))
-                ):
-                    if got != want:
-                        detail = f"sigma permutation {si} differs from canonical form"
-                        break
-                problems.append((where, detail))
-            if (zc.h, zc.r, zc.ground_size, zc.capacity) != (
-                bp.h,
-                bp.r,
-                fieldspec.q**2,
-                bp.capacity,
-            ):
-                problems.append((where, "recorded parameters differ from derivation"))
+        retry = getattr(zc, "retry_index", 0)  # the one recorded recipe input
+        if zc.kind != zp.kind:
+            detail = f"kind differs from the recomputed plan's {zp.kind!r}"
+        elif not (isinstance(retry, int) and 0 <= retry < RETRY_BUDGET):
+            detail = f"retry_index {retry!r} outside range({RETRY_BUDGET})"
+        else:
+            detail = _first_difference(zc, _derive_zone(cert.n, zi, zp, cert.seed, retry))
+        if detail:
+            problems.append((f"zone {zi} ({zc.kind})", detail))
     return problems
+
+
+def _first_difference(recorded, derived) -> str | None:
+    """The first field, or for rows the first row, where a zone differs."""
+    for f in fields(derived):
+        got, want = getattr(recorded, f.name), getattr(derived, f.name)
+        if _is_rows(want):
+            if len(got) != len(want):
+                return f"{f.name}: {len(got)} rows recorded, {len(want)} derived"
+            for i, (row, derived_row) in enumerate(zip(got, want)):
+                if tuple(row) != tuple(derived_row):
+                    return f"{f.name} row {i} differs from its derivation"
+        elif got != want:
+            shown = "" if isinstance(want, tuple) else f": recorded {got!r}, derived {want!r}"
+            return f"{f.name} differs from its derivation{shown}"
+    return None
+
+
+def _is_rows(value) -> bool:
+    sequence = (tuple, list)
+    return isinstance(value, sequence) and bool(value) and isinstance(value[0], sequence)
 
 
 def _exponent_table(n: int, coords: list[_Coordinate]) -> list[dict[int, int]]:
@@ -662,8 +636,10 @@ def _exponent_table(n: int, coords: list[_Coordinate]) -> list[dict[int, int]]:
 
 
 def _verify_exhaustive(
-    cert: RealiserCertificate, report_notes: list[str], workers: int
+    cert: RealiserCertificate, report_notes: list[str], threads: int
 ) -> tuple[int, list[tuple]]:
+    from concurrent.futures import ThreadPoolExecutor
+
     import numpy as np
 
     n = cert.n
@@ -700,21 +676,14 @@ def _verify_exhaustive(
                     break
         return found
 
-    failures: list[tuple] = []
-    if workers > 1:
-        # numpy's elementwise kernels drop the GIL, so threads genuinely
-        # overlap; spans are disjoint so the merged result is identical
-        # for any worker count
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for found in pool.map(scan, spans):
-                failures.extend(found)
-    else:
-        for span in spans:
-            failures.extend(scan(span))
-            if len(failures) >= 20:
-                break
+    # numpy's elementwise kernels drop the GIL, so threads genuinely
+    # overlap; spans are disjoint, so the merged result is the same for
+    # any thread count.  A single worker thread would add nothing but its
+    # malloc arena (13 MB of peak RSS at n = 2000), so one CPU scans in
+    # the calling thread; the pool starts no thread until a task comes.
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        scanned = pool.map(scan, spans) if threads > 1 else map(scan, spans)
+        failures = [w for found in scanned for w in found]
     if len(failures) > 20:
         failures = failures[:20]
         report_notes.append("failure list truncated at 20")
@@ -762,7 +731,6 @@ def verify_certificate(
     samples: int | None = None,
     sample_seed: int = 0,
     check_integrity: bool = True,
-    workers: int = 1,
 ) -> VerificationReport:
     """Independent re-check of a certificate.
 
@@ -770,31 +738,28 @@ def verify_certificate(
     from field parameters, so any mutation of recorded data is reported
     even when redundant coordinates would mask it functionally.  The
     functional phase then checks m | m' iff coordinatewise <= on all
-    ordered pairs (exhaustive, n <= 2000) or on N sampled pairs.
+    ordered pairs (exhaustive, n <= 2000, over a thread per available
+    CPU) or on N sampled pairs.
     """
     start = time.perf_counter()
+    if mode not in ("exhaustive", "sampled"):
+        raise DomainError(f"unknown mode {mode!r}")
+    if mode == "exhaustive" and cert.n > EXHAUSTIVE_VERIFY_GUARD:
+        raise ResourceLimitError(
+            f"exhaustive mode is guarded at n <= {EXHAUSTIVE_VERIFY_GUARD} "
+            f"(n={cert.n}); use sampled mode"
+        )
+    if mode == "sampled" and (not samples or samples < 1):
+        raise DomainError("sampled mode needs a positive sample count")
     if table is None:
         table = sieve_primes(max(cert.n, 2))
     notes: list[str] = []
-    integrity: list[tuple] = []
-    if check_integrity:
-        integrity = _integrity_failures(cert, table)
-    if workers < 1:
-        raise DomainError("workers must be positive")
+    integrity = _integrity_failures(cert, table) if check_integrity else []
     if mode == "exhaustive":
-        if cert.n > EXHAUSTIVE_VERIFY_GUARD:
-            raise ResourceLimitError(
-                f"exhaustive mode is guarded at n <= {EXHAUSTIVE_VERIFY_GUARD}; "
-                "use sampled mode"
-            )
-        pairs, failures = _verify_exhaustive(cert, notes, workers)
-    elif mode == "sampled":
-        if not samples or samples < 1:
-            raise DomainError("sampled mode needs a positive sample count")
+        pairs, failures = _verify_exhaustive(cert, notes, _available_cpus())
+    else:
         pairs, failures = _verify_sampled(cert, samples, sample_seed)
         notes.append(f"sampled mode: {pairs} ordered pairs, seed {sample_seed}")
-    else:
-        raise DomainError(f"unknown mode {mode!r}")
     elapsed = time.perf_counter() - start
     return VerificationReport(
         ok=not failures and not integrity,
@@ -805,6 +770,13 @@ def verify_certificate(
         wall_time=elapsed,
         notes=tuple(notes),
     )
+
+
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------

@@ -65,11 +65,11 @@ class SplitMix64:
 
 
 def child_seed(seed: int, index: int) -> int:
-    """Deterministic child stream seed: the (index+1)-th SplitMix64 output."""
+    """Deterministic child stream seed: the (index+1)-th SplitMix64 output.
+
+    The generator is counter-based, so that output is mix(seed + (index+1)
+    * gamma): one step from a generator started index steps ahead.
+    """
     if index < 0:
         raise ValueError("index must be nonnegative")
-    gen = SplitMix64(seed)
-    value = gen.next_u64()
-    for _ in range(index):
-        value = gen.next_u64()
-    return value
+    return SplitMix64((seed + index * _GAMMA) & MASK64).next_u64()

@@ -303,6 +303,15 @@ def test_block_rejection_region_matches_randbelow():
         )
 
 
+def test_child_seed_equals_stepping_the_stream():
+    for seed in (0, 7, MASK64):
+        for index in (0, 1, 7, 10**4):
+            stream = SplitMix64(seed)
+            for _ in range(index):
+                stream.next_u64()
+            assert child_seed(seed, index) == stream.next_u64()
+
+
 def test_next_block_equals_next_u64():
     for seed in (0, 7, MASK64):
         a, b = SplitMix64(seed), SplitMix64(seed)

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import time
 
 import pytest
 
@@ -152,3 +154,44 @@ def test_verify_json_output(tmp_path, capsys):
 def test_inputs_beyond_word_cap_rejected(capsys):
     assert main(["sieve", "--limit", str(2**63)]) == 2
     assert main(["certify", "--n", str(2**63), "--out", "/tmp/x.json"]) == 2
+
+
+@pytest.mark.parametrize(
+    "n,seed,digest",
+    [
+        (150, 3, "e3821058664a235752667bb20834da31895edc71e552e49c8d6dfb295cc06439"),
+        (1000, 0, "4cbf348a3bce7f0736b64ff0e656c497ad0d06b4aab9b064f917469423d160c0"),
+        (2000, 0, "b32e4835bc6452639d33e7f067c41e743877698348f847dc26478bf102c98488"),
+    ],
+)
+def test_certify_output_is_pinned(tmp_path, capsys, n, seed, digest):
+    cert = tmp_path / "cert.json"
+    assert main(["certify", "--n", str(n), "--seed", str(seed), "--out", str(cert)]) == 0
+    assert hashlib.sha256(cert.read_bytes()).hexdigest() == digest
+
+
+@pytest.fixture(scope="module")
+def cert_2000(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cert") / "cert.json"
+    assert main(["certify", "--n", "2000", "--seed", "0", "--out", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize(
+    "key,value", [("retry_index", 10**12), ("retry_index", -1), ("target_size", 10**12)]
+)
+def test_tampered_recipe_fails_fast(tmp_path, capsys, cert_2000, key, value):
+    data = json.loads(json.dumps(cert_2000))
+    zone = next(z for z in data["zones"] if z["kind"] == "random-suitable")
+    zone[key] = value
+    cert = tmp_path / "tampered.json"
+    cert.write_text(json.dumps(data))
+    capsys.readouterr()
+    # sampled mode keeps the pair phase short, so the time is the
+    # integrity phase's: it must not size a draw or a seed walk by the
+    # recorded value
+    start = time.perf_counter()
+    assert main(["verify", "--cert", str(cert), "--sampled", "100"]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "witness: ('zone" in err and f"(random-suitable)', '{key}" in err

@@ -4,9 +4,10 @@ import math
 import pytest
 
 from divdim.base import DomainError, ResourceLimitError
-from divdim.divposets import DivPosetSpec, build_div_poset
+from divdim.divposets import DivPosetSpec, build_div_poset, coverfree_embedding
 from divdim.pipeline import (
     RealiserCertificate,
+    _verify_exhaustive,
     bound_table,
     build_certificate,
     certificate_coordinates,
@@ -268,12 +269,26 @@ def test_bound_table_rejects_tiny_n():
 
 
 def test_worker_count_does_not_change_results():
-    cert, table = cert_for(300)
-    one = verify_certificate(cert, table, workers=1)
-    four = verify_certificate(cert, table, workers=4)
-    assert one.ok and four.ok
-    assert one.pair_failures == four.pair_failures
-    assert one.pairs_checked == four.pairs_checked
+    # at n = 1000 the pair scan runs in several spans; keeping one rank
+    # row of the random-suitable zone makes more than 20 pairs fail
+    cert, _ = cert_for(1000)
+    data = json.loads(cert.dumps())
+    for zone in data["zones"]:
+        if zone["kind"] == "random-suitable":
+            zone["ranks"] = zone["ranks"][:1]
+    broken = RealiserCertificate.from_json_dict(data)
+    for checked, failing in ((cert, False), (broken, True)):
+        runs = []
+        for threads in (1, 4):
+            notes = []
+            runs.append((_verify_exhaustive(checked, notes, threads), notes))
+        assert runs[0] == runs[1]
+        (pairs, failures), notes = runs[0]
+        assert pairs == 1000 * 999
+        if failing:
+            assert len(failures) == 20 and notes == ["failure list truncated at 20"]
+        else:
+            assert not failures and not notes
 
 
 def test_structurally_broken_certificates_rejected():
@@ -307,3 +322,123 @@ def test_structurally_broken_certificates_rejected():
     mutate(short_rank_row)
     mutate(ground_escape)
     mutate(bad_phi)
+
+
+def test_certificate_that_is_not_an_object_rejected():
+    for text in ("[]", "3", '"divdim-certificate"'):
+        with pytest.raises(DomainError):
+            RealiserCertificate.loads(text)
+
+
+# --- single-field mutations -------------------------------------------------------
+
+ZONE_FIELDS = {
+    "chains": ("lo", "hi", "primes"),
+    "random-suitable": (
+        "lo", "hi", "primes", "zone_seed", "retry_index", "target_size", "ranks",
+    ),
+    "cover-free": (
+        "lo", "hi", "primes", "field.p", "field.k", "field.modulus", "h", "r",
+        "ground_size", "capacity", "family", "phi", "sigma_ranks",
+    ),
+}
+MUTATIONS = [(kind, path) for kind, paths in ZONE_FIELDS.items() for path in paths] + [
+    (None, "max_exponent"),
+    (None, "dimension"),
+]
+
+
+@pytest.fixture(scope="module")
+def cert_1000_json():
+    cert, _ = cert_for(1000, seed=0)
+    return cert.dumps()
+
+
+def test_mutations_cover_every_recorded_field(cert_1000_json):
+    recorded = set()
+    for zone in json.loads(cert_1000_json)["zones"]:
+        for key, value in zone.items():
+            if isinstance(value, dict):
+                recorded.update((zone["kind"], f"{key}.{sub}") for sub in value)
+            elif key != "kind":
+                recorded.add((zone["kind"], key))
+    assert recorded == {m for m in MUTATIONS if m[0] is not None}
+
+
+@pytest.mark.parametrize("kind,path", MUTATIONS, ids=lambda v: str(v))
+def test_single_field_edit_is_caught(cert_1000_json, kind, path):
+    # a number gains 1; an array's first entry, or its first row's first
+    # entry, gains 1
+    data = json.loads(cert_1000_json)
+    owner = data if kind is None else next(z for z in data["zones"] if z["kind"] == kind)
+    *groups, key = path.split(".")
+    for group in groups:
+        owner = owner[group]
+    value = owner[key]
+    if not isinstance(value, list):
+        owner[key] = value + 1
+    elif isinstance(value[0], list):
+        value[0][0] += 1
+    else:
+        value[0] += 1
+    try:
+        mutated = RealiserCertificate.from_json_dict(data)
+    except DomainError:
+        return
+    report = verify_certificate(mutated, TABLE, mode="sampled", samples=200)
+    assert not report.ok and report.integrity_failures
+
+
+# --- argument checks and tampered recipes ------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "n,kwargs,error",
+    [
+        (60, {"mode": "pairs"}, DomainError),
+        (60, {"mode": "sampled"}, DomainError),
+        (60, {"mode": "sampled", "samples": 0}, DomainError),
+        (2001, {}, ResourceLimitError),
+    ],
+)
+def test_arguments_checked_before_integrity(monkeypatch, n, kwargs, error):
+    import divdim.pipeline as pipeline
+
+    def integrity_not_expected(*args):
+        raise AssertionError("integrity phase ran before the argument checks")
+
+    monkeypatch.setattr(pipeline, "_integrity_failures", integrity_not_expected)
+    cert, _ = cert_for(60)
+    cert = RealiserCertificate(
+        n=n,
+        eps=cert.eps,
+        seed=cert.seed,
+        max_exponent=cert.max_exponent,
+        dimension=cert.dimension,
+        zones=cert.zones,
+    )
+    with pytest.raises(error):
+        verify_certificate(cert, **kwargs)
+
+
+def test_coverfree_zone_at_a_million_is_checked(monkeypatch):
+    # its 127 primes give 8,129 squarefree elements, once above the
+    # embedding check's guard
+    import divdim.pipeline as pipeline
+
+    table = sieve_primes(10**6)
+    (zone,) = [
+        z for z in plan(10**6, 0.5, table).zones
+        if z.kind == "cover-free" and len(z.primes) == 127
+    ]
+    verdicts = []
+
+    def recording(*args, **kwargs):
+        result = coverfree_embedding(*args, **kwargs)
+        verdicts.append(result[1])
+        return result
+
+    monkeypatch.setattr(pipeline, "coverfree_embedding", recording)
+    _, note = pipeline._build_coverfree_zone(10**6, zone, table)
+    (verdict,) = verdicts
+    assert verdict.ok and verdict.note == "" and note == ""
