@@ -287,10 +287,6 @@ class IntervalSuitableSet:
     target_size: int
 
     @property
-    def interval_prime_count(self) -> int:
-        return len(self.primes)
-
-    @property
     def perms(self) -> tuple[Permutation, ...]:
         """The rank rows as Permutations, least prime first; built per access."""
         perms = []
@@ -461,12 +457,6 @@ class CoverFreeEmbedding:
     @property
     def ground_size(self) -> int:
         return self.family.ground_size
-
-    def image_of_indices(self, indices: Sequence[int]) -> frozenset:
-        out: frozenset = frozenset()
-        for i in indices:
-            out |= self.family.sets[self.assignment[i]]
-        return out
 
     def to_json_dict(self) -> dict:
         return {

@@ -34,14 +34,6 @@ class Multiset:
         if any(c < 0 or not isinstance(c, int) for c in self.counts):
             raise DomainError("multiplicities must be nonnegative integers")
 
-    @classmethod
-    def from_map(cls, ground: Sequence, nu: dict) -> "Multiset":
-        ground = tuple(ground)
-        unknown = set(nu) - set(ground)
-        if unknown:
-            raise DomainError(f"multiplicities outside the ground: {unknown}")
-        return cls(ground, tuple(nu.get(x, 0) for x in ground))
-
     @cached_property
     def _pos(self) -> dict:
         return {x: i for i, x in enumerate(self.ground)}

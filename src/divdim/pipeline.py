@@ -15,7 +15,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field, fields
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .base import DomainError, O1_DROPPED_NOTE, ResourceLimitError, RetryBudgetError
 from .coverfree import SetFamily, build_field, eff_family
@@ -219,18 +219,16 @@ class CoverFreeZoneCert:
         """Zone-prime orderings induced by the family images.
 
         For each ground permutation sigma, primes are ordered by the
-        colex key of their assigned member set; that family of orderings
-        is suitable for the zone's squarefree supports.
+        colex key of their assigned member set (each element with
+        exponent 1); that family of orderings is suitable for the zone's
+        squarefree supports.
         """
+        members = [[(e, 1) for e in self.family[i]] for i in self.phi]
         rows = []
         for sigma in self.sigma_ranks:
-            keys = []
-            for j in range(len(self.primes)):
-                member = self.family[self.phi[j]]
-                keys.append(sum(1 << sigma[e] for e in member))
-            order = sorted(range(len(self.primes)), key=lambda j: keys[j])
-            ranks = [0] * len(self.primes)
-            for position, j in enumerate(order):
+            keys = [_colex_key(sigma, member) for member in members]
+            ranks = [0] * len(keys)
+            for position, j in enumerate(sorted(range(len(keys)), key=keys.__getitem__)):
                 ranks[j] = position
             rows.append(ranks)
         return rows
@@ -499,40 +497,78 @@ def build_certificate(
 # coordinate evaluation
 
 
+def _colex_key(
+    row: tuple[int, ...], own: Iterable[tuple[int, int]]
+) -> tuple[tuple[int, int], ...]:
+    """m's (rank, exponent) pairs under ``row``, highest rank first.
+
+    ``own`` lists m's (column, exponent) pairs on a zone's primes and
+    ``row`` ranks the columns.  Exponents are positive, so when the ranks
+    are distinct, comparing two keys as tuples is the colex order: the
+    highest-ranked column where the exponents differ decides.  The key
+    is as long as ``own``, whatever values are recorded in ``row``.
+    """
+    return tuple(sorted([(row[c], e) for c, e in own], reverse=True))
+
+
 @dataclass(frozen=True)
 class _Coordinate:
-    """Either a chain on one prime or a colex key over a prime tuple."""
+    """One colex order on a zone: ``row`` ranks the columns of its primes.
 
-    primes: tuple[int, ...]
-    ranks: tuple[int, ...] | None  # None marks a chain coordinate
-    base: int
-    # prime -> its index in ``primes``; one dict serves all of a zone's coordinates
-    index: dict[int, int] | None = field(default=None, compare=False)
+    A chain is a one-prime zone with the single row (0,).
+    """
 
-    def value(self, exponents: dict[int, int]) -> int:
-        if self.ranks is None:
-            return exponents.get(self.primes[0], 0)
-        out = 0
-        for p, e in exponents.items():
-            i = self.index.get(p)
-            if i is not None:
-                out += e * self.base ** self.ranks[i]
-        return out
+    # prime -> column; one dict serves all of a zone's coordinates
+    index: dict[int, int] = field(compare=False)
+    row: tuple[int, ...]
 
 
 def certificate_coordinates(cert: RealiserCertificate) -> list[_Coordinate]:
-    base = cert.max_exponent + 1
     coords: list[_Coordinate] = []
     for zone in cert.zones:
         if zone.kind == "chains":
-            for p in zone.primes:
-                coords.append(_Coordinate((p,), None, base))
+            coords.extend(_Coordinate({p: 0}, (0,)) for p in zone.primes)
             continue
         index = {p: i for i, p in enumerate(zone.primes)}
         rows = zone.ranks if zone.kind == "random-suitable" else zone.tau_rank_rows()
-        for row in rows:
-            coords.append(_Coordinate(zone.primes, tuple(row), base, index))
+        coords.extend(_Coordinate(index, tuple(row)) for row in rows)
     return coords
+
+
+# a zone's prime -> column dict and the rows of its coordinates
+_Zone = tuple[dict[int, int], list[tuple[int, ...]]]
+
+
+def _zones(coords: list[_Coordinate]) -> list[_Zone]:
+    """The coordinates grouped by zone, in order."""
+    zones: list[_Zone] = []
+    for c in coords:
+        if zones and zones[-1][0] is c.index:
+            zones[-1][1].append(c.row)
+        else:
+            zones.append((c.index, [c.row]))
+    return zones
+
+
+def _zone_owns(zones: list[_Zone]) -> Callable[[int], dict[int, tuple]]:
+    """A map from m to {zone number: own}, for the zones m meets.
+
+    ``own`` is m's (column, exponent) pairs on the zone's primes, from
+    ``factorize``.  A zone m does not meet is absent: its own is ().
+    """
+    homes: dict[int, tuple[int, ...]] = {}
+    for zi, (index, _) in enumerate(zones):
+        for p in index:
+            homes[p] = homes.get(p, ()) + (zi,)
+
+    def owns(m: int) -> dict[int, tuple]:
+        found: dict[int, tuple] = {}
+        for p, e in factorize(m).items():
+            for zi in homes.get(p, ()):
+                found[zi] = found.get(zi, ()) + ((zones[zi][0][p], e),)
+        return found
+
+    return owns
 
 
 # ---------------------------------------------------------------------------
@@ -619,20 +655,10 @@ def _is_rows(value) -> bool:
     return isinstance(value, sequence) and bool(value) and isinstance(value[0], sequence)
 
 
-def _exponent_table(n: int, coords: list[_Coordinate]) -> list[dict[int, int]]:
-    needed = set()
-    for c in coords:
-        needed.update(c.primes)
-    table: list[dict[int, int]] = [dict() for _ in range(n + 1)]
-    for p in sorted(needed):
-        if p > n:
-            continue
-        pe = p
-        while pe <= n:
-            for m in range(pe, n + 1, pe):
-                table[m][p] = table[m].get(p, 0) + 1
-            pe *= p
-    return table
+def _failure_kind(a: int, b: int) -> str:
+    if b % a == 0:
+        return "divides-but-coordinates-disagree"
+    return "coordinates-leq-but-not-divisible"
 
 
 def _verify_exhaustive(
@@ -643,17 +669,26 @@ def _verify_exhaustive(
     import numpy as np
 
     n = cert.n
-    coords = certificate_coordinates(cert)
-    exps = _exponent_table(n, coords)
-    columns = []
-    for coord in coords:
-        col = [coord.value(exps[m]) for m in range(1, n + 1)]
-        order = {v: i for i, v in enumerate(sorted(set(col)))}
-        columns.append([order[v] for v in col])
-    values = np.array(columns, dtype=np.int32).T  # (n, D)
+    zones = _zones(certificate_coordinates(cert))
+    owns_by_m = list(map(_zone_owns(zones), range(1, n + 1)))
+    values = np.empty((n, sum(len(rows) for _, rows in zones)), dtype=np.int32)
+    column = 0
+    for zi, (_, rows) in enumerate(zones):
+        # a coordinate of the zone reads only own(m): key each distinct
+        # own once per row and map the key's rank back to every m
+        distinct: dict[tuple, int] = {}
+        group = np.array(
+            [distinct.setdefault(own.get(zi, ()), len(distinct)) for own in owns_by_m]
+        )
+        for row in rows:
+            keys = [_colex_key(row, own) for own in distinct]
+            order = {k: i for i, k in enumerate(sorted(set(keys)))}
+            values[:, column] = np.array([order[k] for k in keys], dtype=np.int32)[group]
+            column += 1
     arr = np.arange(1, n + 1, dtype=np.int64)
     divides = (arr[None, :] % arr[:, None]) == 0  # [i, j] = m_i | m_j
-    chunk = max(1, min(n, 50_000_000 // (n * max(values.shape[1], 1))))
+    # each thread holds one (chunk, n, D) boolean temporary: 50 MB in all
+    chunk = max(1, min(n, 50_000_000 // (n * max(values.shape[1], 1) * threads)))
     spans = [(start, min(n, start + chunk)) for start in range(0, n, chunk)]
 
     def scan(span: tuple[int, int]) -> list[tuple]:
@@ -666,13 +701,8 @@ def _verify_exhaustive(
                 a, b = start + int(i) + 1, int(j) + 1
                 if a == b:
                     continue
-                kind = (
-                    "divides-but-coordinates-disagree"
-                    if b % a == 0
-                    else "coordinates-leq-but-not-divisible"
-                )
-                found.append((a, b, kind))
-                if len(found) >= 20:
+                found.append((a, b, _failure_kind(a, b)))
+                if len(found) > 20:  # a 21st failure tells the list is cut
                     break
         return found
 
@@ -694,15 +724,9 @@ def _verify_sampled(
     cert: RealiserCertificate, samples: int, sample_seed: int
 ) -> tuple[int, list[tuple]]:
     n = cert.n
-    coords = certificate_coordinates(cert)
+    zones = _zones(certificate_coordinates(cert))
+    owns = _zone_owns(zones)
     rng = SplitMix64(sample_seed)
-    cache: dict[int, dict[int, int]] = {}
-
-    def exps(m: int) -> dict[int, int]:
-        if m not in cache:
-            cache[m] = factorize(m)
-        return cache[m]
-
     failures: list[tuple] = []
     checked = 0
     while checked < samples:
@@ -711,13 +735,16 @@ def _verify_sampled(
         if a == b:
             continue
         checked += 1
-        ea, eb = exps(a), exps(b)
-        if b % a == 0:
-            if not all(c.value(ea) <= c.value(eb) for c in coords):
-                failures.append((a, b, "divides-but-coordinates-disagree"))
-        else:
-            if not any(c.value(ea) > c.value(eb) for c in coords):
-                failures.append((a, b, "coordinates-leq-but-not-divisible"))
+        oa, ob = owns(a), owns(b)
+        # every coordinate of a zone where own(a) == own(b) is equal on a and b
+        met = [zi for zi in sorted(oa.keys() | ob.keys()) if oa.get(zi) != ob.get(zi)]
+        below = (
+            _colex_key(row, oa.get(zi, ())) <= _colex_key(row, ob.get(zi, ()))
+            for zi in met
+            for row in zones[zi][1]
+        )
+        if all(below) != (b % a == 0):
+            failures.append((a, b, _failure_kind(a, b)))
         if len(failures) >= 20:
             break
     return checked, failures

@@ -121,26 +121,6 @@ class FinitePoset:
     def leq(self, a: Element, b: Element) -> bool:
         return bool(self._up[self.index(a)] >> self.index(b) & 1)
 
-    def incomparable_ordered_pairs(self) -> list[tuple[Element, Element]]:
-        out = []
-        up = self._up
-        for i in range(len(up)):
-            for j in range(len(up)):
-                if i != j and not up[i] >> j & 1 and not up[j] >> i & 1:
-                    out.append((self.elements[i], self.elements[j]))
-        return out
-
-    def relation_pairs(self) -> list[tuple[Element, Element]]:
-        """All ordered pairs (a, b) with a <= b, including reflexive ones."""
-        out = []
-        for i, row in enumerate(self._up):
-            m = row
-            while m:
-                j = (m & -m).bit_length() - 1
-                m &= m - 1
-                out.append((self.elements[i], self.elements[j]))
-        return out
-
 
 @dataclass(frozen=True)
 class LinearExtension:

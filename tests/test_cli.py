@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import divdim
 from divdim.cli import main
 
 
@@ -195,3 +200,35 @@ def test_tampered_recipe_fails_fast(tmp_path, capsys, cert_2000, key, value):
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert "witness: ('zone" in err and f"(random-suitable)', '{key}" in err
+
+
+@pytest.mark.parametrize(
+    "n,kind,key,value",
+    [
+        (60, "chains", "primes", 1),
+        (60, "random-suitable", "ranks", 10**12),
+        (1000, "cover-free", "sigma_ranks", 10**11),
+    ],
+)
+@pytest.mark.parametrize("mode", [[], ["--sampled", "200"]], ids=["exhaustive", "sampled"])
+def test_unbounded_recorded_value_fails_fast(tmp_path, n, kind, key, value, mode):
+    # the functional phase runs on the recorded values after integrity
+    # has failed, so none of them may size its work; a separate process
+    # with a timeout turns a hang into a failure
+    cert = tmp_path / "cert.json"
+    assert main(["certify", "--n", str(n), "--seed", "0", "--out", str(cert)]) == 0
+    data = json.loads(cert.read_text())
+    recorded = next(z for z in data["zones"] if z["kind"] == kind)[key]
+    (recorded[0] if isinstance(recorded[0], list) else recorded)[0] = value
+    cert.write_text(json.dumps(data))
+    src = str(Path(divdim.__file__).parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "divdim.cli", "verify", "--cert", str(cert), *mode],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=5,
+    )
+    assert done.returncode == 1, done.stderr
+    assert f"witness: ('zone" in done.stderr and f"({kind})', '{key}" in done.stderr
+    assert "Traceback" not in done.stderr
