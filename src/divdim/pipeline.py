@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
 from dataclasses import dataclass, field, fields
+from itertools import islice
 from typing import Callable, Iterable
 
 from .base import DomainError, O1_DROPPED_NOTE, ResourceLimitError, RetryBudgetError
@@ -662,58 +662,47 @@ def _failure_kind(a: int, b: int) -> str:
 
 
 def _verify_exhaustive(
-    cert: RealiserCertificate, report_notes: list[str], threads: int
+    cert: RealiserCertificate, report_notes: list[str]
 ) -> tuple[int, list[tuple]]:
-    from concurrent.futures import ThreadPoolExecutor
+    """Compare the relation the coordinates give with divisibility on 1..n.
 
+    A coordinate of a zone reads only m's part on the zone's primes, so
+    the relation is built zone by zone: rank each distinct part under
+    every row, take the parts a part lies at or below in all rows, and
+    AND each m's up-set, packed eight numbers a byte, into ``up``.
+    Memory is n²/8 bytes for ``up`` plus the n × n booleans of
+    ``divides``.
+    """
     import numpy as np
 
     n = cert.n
     zones = _zones(certificate_coordinates(cert))
     owns_by_m = list(map(_zone_owns(zones), range(1, n + 1)))
-    values = np.empty((n, sum(len(rows) for _, rows in zones)), dtype=np.int32)
-    column = 0
+    up = np.full((n, (n + 7) // 8), 0xFF, dtype=np.uint8)  # [a-1] packs {b : a <= b}
     for zi, (_, rows) in enumerate(zones):
-        # a coordinate of the zone reads only own(m): key each distinct
-        # own once per row and map the key's rank back to every m
         distinct: dict[tuple, int] = {}
         group = np.array(
             [distinct.setdefault(own.get(zi, ()), len(distinct)) for own in owns_by_m]
         )
+        below = np.ones((len(distinct), len(distinct)), dtype=bool)
         for row in rows:
             keys = [_colex_key(row, own) for own in distinct]
             order = {k: i for i, k in enumerate(sorted(set(keys)))}
-            values[:, column] = np.array([order[k] for k in keys], dtype=np.int32)[group]
-            column += 1
-    arr = np.arange(1, n + 1, dtype=np.int64)
-    divides = (arr[None, :] % arr[:, None]) == 0  # [i, j] = m_i | m_j
-    # each thread holds one (chunk, n, D) boolean temporary: 50 MB in all
-    chunk = max(1, min(n, 50_000_000 // (n * max(values.shape[1], 1) * threads)))
-    spans = [(start, min(n, start + chunk)) for start in range(0, n, chunk)]
-
-    def scan(span: tuple[int, int]) -> list[tuple]:
-        start, stop = span
-        found: list[tuple] = []
-        leq = (values[start:stop, None, :] <= values[None, :, :]).all(axis=2)
-        mism = leq != divides[start:stop]
-        if mism.any():
-            for i, j in zip(*mism.nonzero()):
-                a, b = start + int(i) + 1, int(j) + 1
-                if a == b:
-                    continue
-                found.append((a, b, _failure_kind(a, b)))
-                if len(found) > 20:  # a 21st failure tells the list is cut
-                    break
-        return found
-
-    # numpy's elementwise kernels drop the GIL, so threads genuinely
-    # overlap; spans are disjoint, so the merged result is the same for
-    # any thread count.  A single worker thread would add nothing but its
-    # malloc arena (13 MB of peak RSS at n = 2000), so one CPU scans in
-    # the calling thread; the pool starts no thread until a task comes.
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        scanned = pool.map(scan, spans) if threads > 1 else map(scan, spans)
-        failures = [w for found in scanned for w in found]
+            rank = np.array([order[k] for k in keys])
+            below &= rank[:, None] <= rank[None, :]
+        up &= np.packbits(below[:, group], axis=1)[group]
+    divides = np.zeros((n, n), dtype=bool)
+    for a in range(1, n + 1):
+        divides[a - 1, a - 1 :: a] = True
+    # the diagonal never differs: every row ranks a part at or below itself
+    differ = up ^ np.packbits(divides, axis=1)
+    cells = (
+        (int(i) + 1, int(j) + 1)
+        for i in np.flatnonzero(differ.any(axis=1))
+        for j in np.flatnonzero(np.unpackbits(differ[i], count=n))
+    )
+    # a 21st failure tells the list is cut
+    failures = [(a, b, _failure_kind(a, b)) for a, b in islice(cells, 21)]
     if len(failures) > 20:
         failures = failures[:20]
         report_notes.append("failure list truncated at 20")
@@ -724,6 +713,8 @@ def _verify_sampled(
     cert: RealiserCertificate, samples: int, sample_seed: int
 ) -> tuple[int, list[tuple]]:
     n = cert.n
+    if n < 2:  # no ordered pair a != b to draw
+        return 0, []
     zones = _zones(certificate_coordinates(cert))
     owns = _zone_owns(zones)
     rng = SplitMix64(sample_seed)
@@ -765,8 +756,9 @@ def verify_certificate(
     from field parameters, so any mutation of recorded data is reported
     even when redundant coordinates would mask it functionally.  The
     functional phase then checks m | m' iff coordinatewise <= on all
-    ordered pairs (exhaustive, n <= 2000, over a thread per available
-    CPU) or on N sampled pairs.
+    ordered pairs or on N sampled pairs.  The exhaustive scan (n <= 2000)
+    builds the relation zone by zone as packed bitsets: n²/8 bytes for
+    the up-sets plus the n × n booleans of divisibility.
     """
     start = time.perf_counter()
     if mode not in ("exhaustive", "sampled"):
@@ -783,7 +775,7 @@ def verify_certificate(
     notes: list[str] = []
     integrity = _integrity_failures(cert, table) if check_integrity else []
     if mode == "exhaustive":
-        pairs, failures = _verify_exhaustive(cert, notes, _available_cpus())
+        pairs, failures = _verify_exhaustive(cert, notes)
     else:
         pairs, failures = _verify_sampled(cert, samples, sample_seed)
         notes.append(f"sampled mode: {pairs} ordered pairs, seed {sample_seed}")
@@ -797,13 +789,6 @@ def verify_certificate(
         wall_time=elapsed,
         notes=tuple(notes),
     )
-
-
-def _available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------

@@ -232,3 +232,22 @@ def test_unbounded_recorded_value_fails_fast(tmp_path, n, kind, key, value, mode
     assert done.returncode == 1, done.stderr
     assert f"witness: ('zone" in done.stderr and f"({kind})', '{key}" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("mode", [[], ["--sampled", "5"]], ids=["exhaustive", "sampled"])
+def test_verify_of_one_number_has_no_pairs(tmp_path, mode):
+    # with n = 1 there is no ordered pair a != b; a separate process with
+    # a timeout turns a sampler that waits for one into a failure
+    cert = tmp_path / "cert.json"
+    assert main(["certify", "--n", "1", "--out", str(cert)]) == 0
+    src = str(Path(divdim.__file__).parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "divdim.cli", "verify", "--cert", str(cert), *mode],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=5,
+    )
+    assert done.returncode == 0, done.stderr
+    assert " verification, 0 ordered pairs" in done.stdout
+    assert done.stdout.startswith("PASS")
