@@ -34,7 +34,7 @@ class Verdict:
     """Outcome of a decidable check, with a witness when it fails.
 
     Truthiness follows ``ok`` so verdicts can be asserted directly.
-    ``note`` distinguishes exhaustive results from sampled or skipped ones.
+    ``note`` distinguishes exhaustive results from sampled ones.
     """
 
     ok: bool

@@ -172,8 +172,6 @@ def _cmd_certify(args) -> int:
     kinds = ", ".join(f"{z.kind}[{len(z.primes)}p:{z.dimension}d]" for z in cert.zones)
     print(f"certificate for n={args.n}: dimension {cert.dimension}")
     print(f"zones: {kinds}")
-    for note in cert.notes:
-        print(f"note: {note}")
     print(f"written to {args.out}")
     return EXIT_OK
 

@@ -310,9 +310,7 @@ def _set_cover_exact(masks: list[int], universe: int) -> list[int]:
     return [reduced[m & need] for m in best]
 
 
-def min_suitable(
-    family, ground=None, *, max_ground: int = MIN_SUITABLE_GUARD
-) -> tuple[int, SuitableSet]:
+def min_suitable(family, ground=None) -> tuple[int, SuitableSet]:
     """Exact minimum suitable set for a family of subsets of the ground.
 
     Conventions: the empty family, and families whose constraints are all
@@ -321,9 +319,9 @@ def min_suitable(
     change the minimum.
     """
     sets, ground = _normalize_family(family, ground)
-    if len(ground) > max_ground:
+    if len(ground) > MIN_SUITABLE_GUARD:
         raise ResourceLimitError(
-            f"ground has {len(ground)} elements, exhaustive guard is {max_ground}"
+            f"ground has {len(ground)} elements, exhaustive guard is {MIN_SUITABLE_GUARD}"
         )
     used = set().union(*sets) if sets else set()
     active = tuple(x for x in ground if x in used)
@@ -448,7 +446,6 @@ def random_downset(
     seed: int,
     *,
     max_multiplicity: int = 2,
-    max_maximal: int = 3,
     max_members: int = 25,
 ) -> DownsetFamily:
     """Seed-deterministic random downset: sampled maxima, closed downward.
@@ -459,7 +456,7 @@ def random_downset(
     ground = tuple(ground)
     for attempt in range(64):
         rng = SplitMix64(child_seed(seed, attempt))
-        count = 1 + rng.randbelow(max_maximal)
+        count = 1 + rng.randbelow(3)  # at most three maxima
         maxima = []
         for _ in range(count):
             counts = tuple(

@@ -205,10 +205,14 @@ class CoverFreeZoneCert:
     def check_shape(self) -> None:
         """Structural sanity of loaded members, assignment and ground rows."""
         for member in self.family:
+            if not _ints(member):
+                raise DomainError("malformed family member")
             if any(not 0 <= e < self.ground_size for e in member):
                 raise DomainError("family element outside the ground")
-        if len(self.phi) != len(self.primes) or any(
-            not 0 <= i < len(self.family) for i in self.phi
+        if (
+            not _ints(self.phi)
+            or len(self.phi) != len(self.primes)
+            or any(not 0 <= i < len(self.family) for i in self.phi)
         ):
             raise DomainError("malformed member assignment")
         for row in self.sigma_ranks:
@@ -237,8 +241,13 @@ class CoverFreeZoneCert:
 _ZONE_TYPES = {z.kind: z for z in (ChainZoneCert, SuitableZoneCert, CoverFreeZoneCert)}
 
 
+def _ints(values) -> bool:
+    """A tuple of ints; JSON true, false and numbers written 3.0 are not."""
+    return isinstance(values, tuple) and set(map(type, values)) <= {int}
+
+
 def _naturals(row) -> bool:
-    return all(isinstance(v, int) and v >= 0 for v in row)
+    return _ints(row) and min(row, default=0) >= 0
 
 
 def _zone_json(zone) -> dict:
@@ -259,6 +268,8 @@ def _zone_from_json(data: dict):
         group = f.metadata.get("group")
         values[f.name] = _decoded((data[group] if group else data)[f.name])
     zone = zone_type(**values)
+    if not _ints(zone.primes):
+        raise DomainError("malformed prime list")
     zone.check_shape()
     return zone
 
@@ -268,7 +279,7 @@ def _decoded(value):
     if not isinstance(value, list):
         return value
     if value and all(isinstance(row, list) for row in value):
-        return _share_rank_ints(value, max(map(len, value)))
+        return tuple(map(tuple, value))
     return tuple(value)
 
 
@@ -283,8 +294,6 @@ class RealiserCertificate:
     dimension: int
     zones: tuple
     schema_version: int = SCHEMA_VERSION
-    # build-time remarks such as skipped checks; not part of the JSON
-    notes: tuple[str, ...] = field(default=(), compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -311,10 +320,17 @@ class RealiserCertificate:
                 raise DomainError(
                     f"unsupported schema_version {data['schema_version']}"
                 )
+            n, eps, seed = data["n"], data["eps"], data["seed"]
+            if type(n) is not int or n < 1:
+                raise DomainError(f"n must be a positive integer, got {n!r}")
+            if type(eps) not in (int, float):
+                raise DomainError(f"eps must be a number, got {eps!r}")
+            if type(seed) is not int:
+                raise DomainError(f"seed must be an integer, got {seed!r}")
             return cls(
-                n=data["n"],
-                eps=data["eps"],
-                seed=data["seed"],
+                n=n,
+                eps=eps,
+                seed=seed,
                 max_exponent=data["max_exponent"],
                 dimension=data["dimension"],
                 zones=tuple(_zone_from_json(z) for z in data["zones"]),
@@ -325,26 +341,24 @@ class RealiserCertificate:
     @classmethod
     def loads(cls, text: str) -> "RealiserCertificate":
         try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
+            data = json.loads(text, parse_int=_IntMemo().__getitem__)
+        # JSONDecodeError, a numeral too long for int, or nesting too deep
+        except (ValueError, RecursionError) as exc:
             raise DomainError(f"certificate is not valid JSON: {exc}") from exc
         return cls.from_json_dict(data)
 
 
-def _share_rank_ints(rows: list[list[int]], length: int) -> tuple[tuple[int, ...], ...]:
-    """Rows as tuples whose values in range(length) share one int object each.
+class _IntMemo(dict):
+    """Numeral -> int for one parse, one int object per distinct numeral.
 
-    JSON decoding makes a new int for every number, so at n = 10^5 the
-    loaded rank rows would hold about 12 MB of equal ints; shared, they
-    are little more than their pointers.
+    JSON decoding otherwise makes a new int for every number, so at
+    n = 10^5 the loaded rank rows would hold about 12 MB of equal ints;
+    shared, they are little more than their pointers.
     """
-    shared = list(range(length))
-    return tuple(
-        tuple(map(shared.__getitem__, row))
-        if row and 0 <= min(row) and max(row) < length
-        else tuple(row)
-        for row in rows
-    )
+
+    def __missing__(self, numeral: str) -> int:
+        value = self[numeral] = int(numeral)
+        return value
 
 
 def _standard_sigma_ranks(d: int) -> tuple[tuple[int, ...], ...]:
@@ -414,13 +428,8 @@ def _derive_zone(n: int, zi: int, zp: ZonePlan, seed: int, retry_index: int):
     return SuitableZoneCert(zp.lo, zp.hi, zp.primes, zone_seed, retry_index, size, rows)
 
 
-def _build_coverfree_zone(
-    n: int, zone: ZonePlan, table: PrimeTable
-) -> tuple[CoverFreeZoneCert, str]:
-    """The zone's checked certificate and the embedding verdict's note.
-
-    The note is "" when the embedding check ran.
-    """
+def _build_coverfree_zone(n: int, zone: ZonePlan, table: PrimeTable) -> CoverFreeZoneCert:
+    """The zone's certificate, with every construction check run on it."""
     cert = _coverfree_zone(zone)
     if cert.capacity < len(cert.primes):
         raise DomainError("family capacity below the zone's prime count")
@@ -436,7 +445,7 @@ def _build_coverfree_zone(
     suit = check_interval_suitability(n, cert.primes, cert.tau_rank_rows())
     if not suit:
         raise RuntimeError(f"derived orderings not suitable: {suit.witness}")
-    return cert, verdict.note
+    return cert
 
 
 def build_certificate(
@@ -450,7 +459,6 @@ def build_certificate(
     if table.limit < pl.n:
         raise DomainError("prime table does not cover n")
     zones: list = []
-    notes: list[str] = []
     for zi, zone in enumerate(pl.zones):
         if zone.kind == "chains":
             zones.append(ChainZoneCert(zone.lo, zone.hi, zone.primes))
@@ -472,13 +480,7 @@ def build_certificate(
                 )
             )
         elif zone.kind == "cover-free":
-            cert, note = _build_coverfree_zone(pl.n, zone, table)
-            zones.append(cert)
-            if note:
-                notes.append(
-                    f"zone {zi} (cover-free, {len(zone.primes)} primes in "
-                    f"({zone.lo:g}, {zone.hi:g}]): embedding {note}"
-                )
+            zones.append(_build_coverfree_zone(pl.n, zone, table))
         else:
             raise DomainError(f"unknown zone kind {zone.kind!r}")
     dimension = sum(z.dimension for z in zones)
@@ -489,7 +491,6 @@ def build_certificate(
         max_exponent=max(pl.n.bit_length() - 1, 0),
         dimension=dimension,
         zones=tuple(zones),
-        notes=tuple(notes),
     )
 
 

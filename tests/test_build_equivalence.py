@@ -7,7 +7,6 @@ check kept below, the scalar ``SplitMix64.shuffle`` draw, and
 ``verify_embedding`` over ``FinitePoset``s.
 """
 
-import functools
 import math
 import random
 
@@ -15,7 +14,6 @@ import pytest
 
 import divdim.divposets as divposets
 from divdim.base import DomainError, Verdict
-from divdim.cli import main as cli_main
 from divdim.coverfree import SetFamily, build_field, eff_family
 from divdim.divposets import (
     check_interval_suitability,
@@ -190,7 +188,7 @@ def coverfree_zones_1e5():
     table = sieve_primes(10**5)
     zones = [z for z in plan(10**5, 0.5, table).zones if z.kind == "cover-free"]
     assert len(zones) == 2
-    return [_build_coverfree_zone(10**5, z, table)[0] for z in zones]
+    return [_build_coverfree_zone(10**5, z, table) for z in zones]
 
 
 def test_suitability_matches_oracle_on_coverfree_orderings(coverfree_zones_1e5, path):
@@ -380,29 +378,7 @@ def test_mask_check_matches_verify_embedding_both_directions():
     assert kinds == {"order-lost", "order-created"}
 
 
-# --- skipped checks are reported ------------------------------------------------------
-
-
-def test_certify_reports_skipped_embedding_check(tmp_path, capsys, monkeypatch):
-    checked = tmp_path / "checked.json"
-    assert cli_main(["certify", "--n", "1000", "--seed", "0", "--out", str(checked)]) == 0
-    assert "note:" not in capsys.readouterr().out
-
-    import divdim.pipeline as pipeline
-
-    monkeypatch.setattr(
-        pipeline,
-        "coverfree_embedding",
-        functools.partial(coverfree_embedding, verify_ground_limit=1),
-    )
-    skipped = tmp_path / "skipped.json"
-    assert cli_main(["certify", "--n", "1000", "--seed", "0", "--out", str(skipped)]) == 0
-    notes = [line for line in capsys.readouterr().out.splitlines() if line.startswith("note:")]
-    assert notes == [
-        "note: zone 1 (cover-free, 4 primes in (24.69, 41.8929]): embedding "
-        "verification skipped: 6 elements exceed guard 1"
-    ]
-    assert skipped.read_bytes() == checked.read_bytes()
+# --- small builds ------------------------------------------------------------
 
 
 def test_small_certificate_builds_without_numpy(tmp_path):

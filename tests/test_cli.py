@@ -251,3 +251,59 @@ def test_verify_of_one_number_has_no_pairs(tmp_path, mode):
     assert done.returncode == 0, done.stderr
     assert " verification, 0 ordered pairs" in done.stdout
     assert done.stdout.startswith("PASS")
+
+
+def _zone(data, kind):
+    return next(z for z in data["zones"] if z["kind"] == kind)
+
+
+def _as_float(values, value):
+    # an int written as the equal float compares equal to its derivation
+    values[values.index(value)] = float(value)
+
+
+MALFORMED = {
+    "n-float": lambda d: d.update(n=60.0),
+    "n-string": lambda d: d.update(n="60"),
+    "n-true": lambda d: d.update(n=True),
+    "n-zero": lambda d: d.update(n=0),
+    "n-negative": lambda d: d.update(n=-5),
+    "eps-string": lambda d: d.update(eps="x"),
+    "eps-null": lambda d: d.update(eps=None),
+    "seed-float": lambda d: d.update(seed=1.5),
+    "seed-string": lambda d: d.update(seed="0"),
+    "seed-null": lambda d: d.update(seed=None),
+    "chain-primes-int": lambda d: _zone(d, "chains").update(primes=5),
+    "phi-float": lambda d: _as_float(_zone(d, "cover-free")["phi"], 3),
+    "family-float": lambda d: _as_float(_zone(d, "cover-free")["family"][0], 11),
+    "rank-float": lambda d: _as_float(_zone(d, "random-suitable")["ranks"][0], 0),
+}
+
+
+@pytest.fixture(scope="module")
+def cert_1000(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cert") / "cert.json"
+    assert main(["certify", "--n", "1000", "--seed", "0", "--out", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("mode", [[], ["--sampled", "50"]], ids=["exhaustive", "sampled"])
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_recorded_value_of_wrong_type_is_a_usage_error(tmp_path, cert_1000, case, mode):
+    # exit 1 means the certificate was checked and failed; a value of the
+    # wrong JSON type is rejected at load instead, with no traceback
+    data = json.loads(json.dumps(cert_1000))
+    MALFORMED[case](data)
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(data))
+    src = str(Path(divdim.__file__).parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "divdim.cli", "verify", "--cert", str(cert), *mode],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert done.returncode == 2, done.stderr
+    assert any(line.startswith("error:") for line in done.stderr.splitlines())
+    assert "Traceback" not in done.stderr

@@ -418,8 +418,8 @@ def test_arguments_checked_before_integrity(monkeypatch, n, kwargs, error):
 
 
 def test_coverfree_zone_at_a_million_is_checked(monkeypatch):
-    # its 127 primes give 8,129 squarefree elements, once above the
-    # embedding check's guard
+    # its 127 primes give 8,129 squarefree elements; every embedding
+    # check runs, whatever the zone's size
     import divdim.pipeline as pipeline
 
     table = sieve_primes(10**6)
@@ -435,6 +435,29 @@ def test_coverfree_zone_at_a_million_is_checked(monkeypatch):
         return result
 
     monkeypatch.setattr(pipeline, "coverfree_embedding", recording)
-    _, note = pipeline._build_coverfree_zone(10**6, zone, table)
+    built = pipeline._build_coverfree_zone(10**6, zone, table)
     (verdict,) = verdicts
-    assert verdict.ok and verdict.note == "" and note == ""
+    assert verdict.ok and verdict.note == ""
+    assert built == pipeline._coverfree_zone(zone)
+
+
+def test_loads_shares_one_int_per_numeral():
+    # JSON decoding would otherwise make a fresh int for every rank above
+    # the small-int cache; the n = 2000 zone has 285 primes, so its ranks
+    # reach 284
+    cert, _ = cert_for(2000)
+    loaded = RealiserCertificate.loads(cert.dumps())
+    (zone,) = [z for z in loaded.zones if z.kind == "random-suitable"]
+    assert len({id(v) for row in zone.ranks for v in row}) == len(zone.primes) == 285
+
+
+@pytest.mark.parametrize(
+    "text",
+    # int() refuses a numeral of more than 4300 digits, and the decoder
+    # recurses once per level of nesting; neither is a JSONDecodeError
+    ['{"n": ' + "1" * 5000 + "}", "[" * 200_000 + "]" * 200_000],
+    ids=["long-numeral", "deep-nesting"],
+)
+def test_unparsable_text_is_a_domain_error(text):
+    with pytest.raises(DomainError, match="not valid JSON"):
+        RealiserCertificate.loads(text)
