@@ -2,7 +2,6 @@
 
 from .base import (
     DomainError,
-    IntegrityError,
     PreconditionError,
     ResourceLimitError,
     RetryBudgetError,

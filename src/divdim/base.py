@@ -25,10 +25,6 @@ class RetryBudgetError(RuntimeError):
     """A randomized construction failed verification on every retry."""
 
 
-class IntegrityError(RuntimeError):
-    """Recorded certificate data disagrees with its own derivation recipe."""
-
-
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of a decidable check, with a witness when it fails.

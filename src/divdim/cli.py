@@ -50,6 +50,13 @@ def _capped(value: str) -> int:
     return n
 
 
+def _int_list(value: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in value.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{value!r} is not a comma-separated list of integers")
+
+
 def _cmd_sieve(args) -> int:
     table = sieve_primes(args.limit)
     info = {
@@ -75,8 +82,7 @@ def _cmd_exact_dim(args) -> int:
         n = args.divisibility
         table = sieve_primes(max(n, 2))
         if args.primes:
-            prime_set = tuple(int(p) for p in args.primes.split(","))
-            spec = DivPosetSpec(n, prime_set=prime_set, squarefree_only=args.squarefree)
+            spec = DivPosetSpec(n, prime_set=args.primes, squarefree_only=args.squarefree)
         else:
             spec = DivPosetSpec(n, interval=(1, max(n, 2)), squarefree_only=args.squarefree)
         poset = build_div_poset(spec, table)
@@ -149,8 +155,12 @@ def _cmd_coverfree_build(args) -> int:
 
 
 def _cmd_coverfree_verify(args) -> int:
-    family = SetFamily.from_json_dict(json.loads(Path(args.family).read_text()))
-    if args.sampled:
+    try:
+        data = json.loads(Path(args.family).read_text())
+    except ValueError as exc:
+        raise DomainError(f"family file is not valid JSON: {exc}") from exc
+    family = SetFamily.from_json_dict(data)
+    if args.sampled is not None:
         verdict = verify_cover_free(
             family, args.r, mode="sampled", samples=args.sampled, seed=args.seed
         )
@@ -178,7 +188,7 @@ def _cmd_certify(args) -> int:
 
 def _cmd_verify(args) -> int:
     cert = RealiserCertificate.loads(Path(args.cert).read_text())
-    mode = "sampled" if args.sampled else "exhaustive"
+    mode = "exhaustive" if args.sampled is None else "sampled"
     report = verify_certificate(
         cert, mode=mode, samples=args.sampled, sample_seed=args.seed
     )
@@ -196,12 +206,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    ns = [int(x) for x in args.n.split(",")]
     certs = {}
     if args.cert:
         cert = RealiserCertificate.loads(Path(args.cert).read_text())
         certs[cert.n] = cert.dimension
-    rows = bound_table(ns, args.eps, certs)
+    rows = bound_table(args.n, args.eps, certs)
     if args.json:
         print(json.dumps([r.to_json_dict() for r in rows], sort_keys=True))
         return EXIT_OK
@@ -238,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exact-dim", help="exact dimension by backtracking")
     p.add_argument("--edges", help="file with one 'a < b' pair per line")
     p.add_argument("--divisibility", type=_capped, help="use the divisibility order on [N]")
-    p.add_argument("--primes", help="comma-separated prime set restriction")
+    p.add_argument("--primes", type=_int_list, help="comma-separated prime set restriction")
     p.add_argument("--squarefree", action="store_true")
     p.add_argument("--max-d", type=int, default=None)
     p.add_argument("--max-size", type=int, default=25)
@@ -283,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("bounds", help="evaluate the bound formulas")
-    p.add_argument("--n", required=True, help="comma-separated list of n")
+    p.add_argument("--n", type=_int_list, required=True, help="comma-separated list of n")
     p.add_argument("--eps", type=float, default=0.5)
     p.add_argument("--cert", help="include this certificate's dimension")
     p.add_argument("--json", action="store_true")
@@ -306,7 +315,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ResourceLimitError, RetryBudgetError) as exc:
         print(f"guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except FileNotFoundError as exc:
+    # a missing or unreadable file, a directory, or a file that is not text
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -197,11 +197,16 @@ class SetFamily:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SetFamily":
-        return cls(
-            ground_size=int(data["ground_size"]),
-            sets=tuple(frozenset(s) for s in data["sets"]),
-            r=None if data.get("r") is None else int(data["r"]),
-        )
+        """The family a JSON object records; DomainError if it records none."""
+        try:
+            ground_size, r = data["ground_size"], data.get("r")
+            sets = tuple(frozenset(s) for s in data["sets"])
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise DomainError(f"malformed family: {exc!r}") from exc
+        numbers = [ground_size, *(e for s in sets for e in s), *([] if r is None else [r])]
+        if any(type(v) is not int for v in numbers):
+            raise DomainError("malformed family: a recorded number is not an integer")
+        return cls(ground_size, sets, r)
 
 
 def eff_family(field: FieldSpec, h: int, count: int | None = None) -> SetFamily:

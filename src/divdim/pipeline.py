@@ -15,7 +15,7 @@ import math
 import time
 from dataclasses import dataclass, field, fields
 from itertools import islice
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .base import DomainError, O1_DROPPED_NOTE, ResourceLimitError, RetryBudgetError
 from .coverfree import SetFamily, build_field, eff_family
@@ -176,7 +176,7 @@ class SuitableZoneCert:
         verification's job.
         """
         for row in self.ranks:
-            if len(row) != len(self.primes) or not _naturals(row):
+            if len(row) != len(self.primes) or min(row, default=0) < 0:
                 raise DomainError("malformed rank row")
 
 
@@ -205,18 +205,14 @@ class CoverFreeZoneCert:
     def check_shape(self) -> None:
         """Structural sanity of loaded members, assignment and ground rows."""
         for member in self.family:
-            if not _ints(member):
-                raise DomainError("malformed family member")
             if any(not 0 <= e < self.ground_size for e in member):
                 raise DomainError("family element outside the ground")
-        if (
-            not _ints(self.phi)
-            or len(self.phi) != len(self.primes)
-            or any(not 0 <= i < len(self.family) for i in self.phi)
+        if len(self.phi) != len(self.primes) or any(
+            not 0 <= i < len(self.family) for i in self.phi
         ):
             raise DomainError("malformed member assignment")
         for row in self.sigma_ranks:
-            if len(row) != self.ground_size or not _naturals(row):
+            if len(row) != self.ground_size or min(row, default=0) < 0:
                 raise DomainError("malformed ground permutation")
 
     def tau_rank_rows(self) -> list[list[int]]:
@@ -228,26 +224,10 @@ class CoverFreeZoneCert:
         squarefree supports.
         """
         members = [[(e, 1) for e in self.family[i]] for i in self.phi]
-        rows = []
-        for sigma in self.sigma_ranks:
-            keys = [_colex_key(sigma, member) for member in members]
-            ranks = [0] * len(keys)
-            for position, j in enumerate(sorted(range(len(keys)), key=keys.__getitem__)):
-                ranks[j] = position
-            rows.append(ranks)
-        return rows
+        return [_colex_ranks(sigma, members) for sigma in self.sigma_ranks]
 
 
 _ZONE_TYPES = {z.kind: z for z in (ChainZoneCert, SuitableZoneCert, CoverFreeZoneCert)}
-
-
-def _ints(values) -> bool:
-    """A tuple of ints; JSON true, false and numbers written 3.0 are not."""
-    return isinstance(values, tuple) and set(map(type, values)) <= {int}
-
-
-def _naturals(row) -> bool:
-    return _ints(row) and min(row, default=0) >= 0
 
 
 def _zone_json(zone) -> dict:
@@ -266,21 +246,42 @@ def _zone_from_json(data: dict):
     values = {}
     for f in fields(zone_type):
         group = f.metadata.get("group")
-        values[f.name] = _decoded((data[group] if group else data)[f.name])
+        values[f.name] = _typed(f.name, f.type, (data[group] if group else data)[f.name])
     zone = zone_type(**values)
-    if not _ints(zone.primes):
-        raise DomainError("malformed prime list")
     zone.check_shape()
     return zone
 
 
-def _decoded(value):
-    """A JSON value with its arrays as tuples; an array of arrays is rows."""
-    if not isinstance(value, list):
-        return value
-    if value and all(isinstance(row, list) for row in value):
-        return tuple(map(tuple, value))
-    return tuple(value)
+_ROWS = "tuple[tuple[int, ...], ...]"
+
+
+def _typed(name: str, kind: str, value):
+    """A recorded JSON value as the field annotated ``kind``, or DomainError.
+
+    Ints are checked by exact type: JSON true, false and numbers written
+    3.0 are not ints.  A float field takes ints too.  Arrays become
+    tuples.  An annotation with no reader here raises, so a new field
+    cannot be read unchecked.
+    """
+    if kind == "int":
+        if type(value) is int:
+            return value
+    elif kind == "float":
+        if type(value) in (int, float):
+            return value
+    elif kind == "tuple[int, ...]":
+        if _int_array(value):
+            return tuple(value)
+    elif kind == _ROWS:
+        if isinstance(value, list) and all(map(_int_array, value)):
+            return tuple(map(tuple, value))
+    else:
+        raise NotImplementedError(f"no JSON reader for field {name}: {kind}")
+    raise DomainError(f"malformed certificate: {name} is not {kind}")
+
+
+def _int_array(value) -> bool:
+    return isinstance(value, list) and set(map(type, value)) <= {int}
 
 
 @dataclass(frozen=True)
@@ -320,21 +321,15 @@ class RealiserCertificate:
                 raise DomainError(
                     f"unsupported schema_version {data['schema_version']}"
                 )
-            n, eps, seed = data["n"], data["eps"], data["seed"]
-            if type(n) is not int or n < 1:
-                raise DomainError(f"n must be a positive integer, got {n!r}")
-            if type(eps) not in (int, float):
-                raise DomainError(f"eps must be a number, got {eps!r}")
-            if type(seed) is not int:
-                raise DomainError(f"seed must be an integer, got {seed!r}")
-            return cls(
-                n=n,
-                eps=eps,
-                seed=seed,
-                max_exponent=data["max_exponent"],
-                dimension=data["dimension"],
-                zones=tuple(_zone_from_json(z) for z in data["zones"]),
-            )
+            values = {
+                f.name: _typed(f.name, f.type, data[f.name])
+                for f in fields(cls)
+                if f.name != "zones"
+            }
+            if values["n"] < 1:
+                raise DomainError(f"n must be a positive integer, got {values['n']}")
+            zones = tuple(_zone_from_json(z) for z in data["zones"])
+            return cls(zones=zones, **values)
         except (KeyError, TypeError) as exc:
             raise DomainError(f"malformed certificate: {exc}") from exc
 
@@ -512,42 +507,42 @@ def _colex_key(
     return tuple(sorted([(row[c], e) for c, e in own], reverse=True))
 
 
-@dataclass(frozen=True)
-class _Coordinate:
-    """One colex order on a zone: ``row`` ranks the columns of its primes.
+def _colex_ranks(row: Sequence[int], owns: Iterable) -> list[int]:
+    """Each own's place among the distinct colex keys under ``row``.
 
-    A chain is a one-prime zone with the single row (0,).
+    Equal keys share a place.  The keys are sorted and neighbours
+    compared, not put in a set or dict: a key is a tuple of pairs that
+    is hashed anew on each use, which made ``tau_rank_rows`` about a
+    third slower at n = 10^5.
     """
+    keys = [_colex_key(row, own) for own in owns]
+    ranks = [0] * len(keys)
+    place, last = -1, None
+    for j in sorted(range(len(keys)), key=keys.__getitem__):
+        if keys[j] != last:
+            place, last = place + 1, keys[j]
+        ranks[j] = place
+    return ranks
 
-    # prime -> column; one dict serves all of a zone's coordinates
-    index: dict[int, int] = field(compare=False)
-    row: tuple[int, ...]
+
+# a zone's prime -> column dict and the rank rows of its coordinates
+_Zone = tuple[dict[int, int], Sequence[Sequence[int]]]
 
 
-def certificate_coordinates(cert: RealiserCertificate) -> list[_Coordinate]:
-    coords: list[_Coordinate] = []
+def certificate_zones(cert: RealiserCertificate) -> list[_Zone]:
+    """The certificate's zones, each a colex order per row on its primes.
+
+    A chain contributes one one-prime zone per prime, with the single
+    row (0,).
+    """
+    zones: list[_Zone] = []
     for zone in cert.zones:
         if zone.kind == "chains":
-            coords.extend(_Coordinate({p: 0}, (0,)) for p in zone.primes)
+            zones.extend(({p: 0}, [(0,)]) for p in zone.primes)
             continue
         index = {p: i for i, p in enumerate(zone.primes)}
         rows = zone.ranks if zone.kind == "random-suitable" else zone.tau_rank_rows()
-        coords.extend(_Coordinate(index, tuple(row)) for row in rows)
-    return coords
-
-
-# a zone's prime -> column dict and the rows of its coordinates
-_Zone = tuple[dict[int, int], list[tuple[int, ...]]]
-
-
-def _zones(coords: list[_Coordinate]) -> list[_Zone]:
-    """The coordinates grouped by zone, in order."""
-    zones: list[_Zone] = []
-    for c in coords:
-        if zones and zones[-1][0] is c.index:
-            zones[-1][1].append(c.row)
-        else:
-            zones.append((c.index, [c.row]))
+        zones.append((index, rows))
     return zones
 
 
@@ -626,7 +621,7 @@ def _integrity_failures(
         retry = getattr(zc, "retry_index", 0)  # the one recorded recipe input
         if zc.kind != zp.kind:
             detail = f"kind differs from the recomputed plan's {zp.kind!r}"
-        elif not (isinstance(retry, int) and 0 <= retry < RETRY_BUDGET):
+        elif not 0 <= retry < RETRY_BUDGET:
             detail = f"retry_index {retry!r} outside range({RETRY_BUDGET})"
         else:
             detail = _first_difference(zc, _derive_zone(cert.n, zi, zp, cert.seed, retry))
@@ -639,7 +634,7 @@ def _first_difference(recorded, derived) -> str | None:
     """The first field, or for rows the first row, where a zone differs."""
     for f in fields(derived):
         got, want = getattr(recorded, f.name), getattr(derived, f.name)
-        if _is_rows(want):
+        if f.type == _ROWS:
             if len(got) != len(want):
                 return f"{f.name}: {len(got)} rows recorded, {len(want)} derived"
             for i, (row, derived_row) in enumerate(zip(got, want)):
@@ -649,11 +644,6 @@ def _first_difference(recorded, derived) -> str | None:
             shown = "" if isinstance(want, tuple) else f": recorded {got!r}, derived {want!r}"
             return f"{f.name} differs from its derivation{shown}"
     return None
-
-
-def _is_rows(value) -> bool:
-    sequence = (tuple, list)
-    return isinstance(value, sequence) and bool(value) and isinstance(value[0], sequence)
 
 
 def _failure_kind(a: int, b: int) -> str:
@@ -677,7 +667,7 @@ def _verify_exhaustive(
     import numpy as np
 
     n = cert.n
-    zones = _zones(certificate_coordinates(cert))
+    zones = certificate_zones(cert)
     owns_by_m = list(map(_zone_owns(zones), range(1, n + 1)))
     up = np.full((n, (n + 7) // 8), 0xFF, dtype=np.uint8)  # [a-1] packs {b : a <= b}
     for zi, (_, rows) in enumerate(zones):
@@ -687,9 +677,7 @@ def _verify_exhaustive(
         )
         below = np.ones((len(distinct), len(distinct)), dtype=bool)
         for row in rows:
-            keys = [_colex_key(row, own) for own in distinct]
-            order = {k: i for i, k in enumerate(sorted(set(keys)))}
-            rank = np.array([order[k] for k in keys])
+            rank = np.array(_colex_ranks(row, distinct))
             below &= rank[:, None] <= rank[None, :]
         up &= np.packbits(below[:, group], axis=1)[group]
     divides = np.zeros((n, n), dtype=bool)
@@ -716,7 +704,7 @@ def _verify_sampled(
     n = cert.n
     if n < 2:  # no ordered pair a != b to draw
         return 0, []
-    zones = _zones(certificate_coordinates(cert))
+    zones = certificate_zones(cert)
     owns = _zone_owns(zones)
     rng = SplitMix64(sample_seed)
     failures: list[tuple] = []

@@ -202,6 +202,18 @@ def test_tampered_recipe_fails_fast(tmp_path, capsys, cert_2000, key, value):
     assert "witness: ('zone" in err and f"(random-suitable)', '{key}" in err
 
 
+def _divdim(*args, timeout):
+    """divdim run in a separate process, so a hang or a traceback shows."""
+    src = str(Path(divdim.__file__).parent.parent)
+    return subprocess.run(
+        [sys.executable, "-m", "divdim.cli", *args],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+
+
 @pytest.mark.parametrize(
     "n,kind,key,value",
     [
@@ -221,14 +233,7 @@ def test_unbounded_recorded_value_fails_fast(tmp_path, n, kind, key, value, mode
     recorded = next(z for z in data["zones"] if z["kind"] == kind)[key]
     (recorded[0] if isinstance(recorded[0], list) else recorded)[0] = value
     cert.write_text(json.dumps(data))
-    src = str(Path(divdim.__file__).parent.parent)
-    done = subprocess.run(
-        [sys.executable, "-m", "divdim.cli", "verify", "--cert", str(cert), *mode],
-        env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True,
-        text=True,
-        timeout=5,
-    )
+    done = _divdim("verify", "--cert", str(cert), *mode, timeout=5)
     assert done.returncode == 1, done.stderr
     assert f"witness: ('zone" in done.stderr and f"({kind})', '{key}" in done.stderr
     assert "Traceback" not in done.stderr
@@ -240,14 +245,7 @@ def test_verify_of_one_number_has_no_pairs(tmp_path, mode):
     # a timeout turns a sampler that waits for one into a failure
     cert = tmp_path / "cert.json"
     assert main(["certify", "--n", "1", "--out", str(cert)]) == 0
-    src = str(Path(divdim.__file__).parent.parent)
-    done = subprocess.run(
-        [sys.executable, "-m", "divdim.cli", "verify", "--cert", str(cert), *mode],
-        env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True,
-        text=True,
-        timeout=5,
-    )
+    done = _divdim("verify", "--cert", str(cert), *mode, timeout=5)
     assert done.returncode == 0, done.stderr
     assert " verification, 0 ordered pairs" in done.stdout
     assert done.stdout.startswith("PASS")
@@ -260,6 +258,10 @@ def _zone(data, kind):
 def _as_float(values, value):
     # an int written as the equal float compares equal to its derivation
     values[values.index(value)] = float(value)
+
+
+def _float_field(owner, key):
+    owner[key] = float(owner[key])
 
 
 MALFORMED = {
@@ -277,6 +279,14 @@ MALFORMED = {
     "phi-float": lambda d: _as_float(_zone(d, "cover-free")["phi"], 3),
     "family-float": lambda d: _as_float(_zone(d, "cover-free")["family"][0], 11),
     "rank-float": lambda d: _as_float(_zone(d, "random-suitable")["ranks"][0], 0),
+    "target_size-float": lambda d: _float_field(_zone(d, "random-suitable"), "target_size"),
+    "retry_index-false": lambda d: _zone(d, "random-suitable").update(retry_index=False),
+    "zone_seed-float": lambda d: _float_field(_zone(d, "random-suitable"), "zone_seed"),
+    "h-float": lambda d: _float_field(_zone(d, "cover-free"), "h"),
+    "capacity-float": lambda d: _float_field(_zone(d, "cover-free"), "capacity"),
+    "lo-string": lambda d: _zone(d, "chains").update(lo="1.0"),
+    "max_exponent-float": lambda d: _float_field(d, "max_exponent"),
+    "dimension-float": lambda d: _float_field(d, "dimension"),
 }
 
 
@@ -296,14 +306,43 @@ def test_recorded_value_of_wrong_type_is_a_usage_error(tmp_path, cert_1000, case
     MALFORMED[case](data)
     cert = tmp_path / "cert.json"
     cert.write_text(json.dumps(data))
-    src = str(Path(divdim.__file__).parent.parent)
-    done = subprocess.run(
-        [sys.executable, "-m", "divdim.cli", "verify", "--cert", str(cert), *mode],
-        env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True,
-        text=True,
-        timeout=30,
-    )
+    done = _divdim("verify", "--cert", str(cert), *mode, timeout=30)
     assert done.returncode == 2, done.stderr
     assert any(line.startswith("error:") for line in done.stderr.splitlines())
+    assert "Traceback" not in done.stderr
+
+
+INPUT_ERRORS = {
+    "bounds-n-not-ints": ["bounds", "--n", "1000,abc"],
+    "primes-not-ints": ["exact-dim", "--divisibility", "10", "--primes", "2,x"],
+    "family-not-json": ["coverfree", "verify", "--family", "{text}", "--r", "2"],
+    "family-is-a-certificate": ["coverfree", "verify", "--family", "{cert}", "--r", "2"],
+    "cert-is-a-directory": ["verify", "--cert", "{dir}"],
+    "cert-not-text": ["verify", "--cert", "{binary}"],
+    "edges-is-a-directory": ["exact-dim", "--edges", "{dir}"],
+    "family-is-a-directory": ["coverfree", "verify", "--family", "{dir}", "--r", "2"],
+    "verify-sampled-0": ["verify", "--cert", "{cert}", "--sampled", "0"],
+    "coverfree-sampled-0": ["coverfree", "verify", "--family", "{family}", "--r", "2", "--sampled", "0"],
+}
+
+
+@pytest.fixture(scope="module")
+def input_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("inputs")
+    files = {name: root / f"{name}.json" for name in ("text", "binary", "cert", "family")}
+    files["dir"] = root
+    files["text"].write_text("not json\n")
+    files["binary"].write_bytes(b"\xb0\xff\n")
+    assert main(["certify", "--n", "60", "--out", str(files["cert"])]) == 0
+    assert main(["coverfree", "build", "--q", "5", "--h", "1", "--json", str(files["family"])]) == 0
+    return {name: str(path) for name, path in files.items()}
+
+
+@pytest.mark.parametrize("case", list(INPUT_ERRORS))
+def test_bad_input_is_a_usage_error(input_files, case):
+    # exit 1 is kept for a check that ran and failed
+    args = [arg.format(**input_files) for arg in INPUT_ERRORS[case]]
+    done = _divdim(*args, timeout=30)
+    assert done.returncode == 2, done.stderr
+    assert "error: " in done.stderr
     assert "Traceback" not in done.stderr

@@ -12,7 +12,7 @@ from divdim.pipeline import (
     _colex_key,
     _coverfree_zone,
     build_certificate,
-    certificate_coordinates,
+    certificate_zones,
     plan,
 )
 from divdim.primes import factorize, sieve_primes
@@ -41,15 +41,16 @@ def test_key_orders_like_the_bigint_value(n):
     cert = build_certificate(plan(n, 0.5, table), 0, table)
     base = cert.max_exponent + 1
     exponents = [factorize(m) for m in range(1, n + 1)]
-    coords = certificate_coordinates(cert)
-    assert len(coords) == cert.dimension
-    for coord in coords:
-        keys, values = [], []
-        for exps in exponents:
-            own = [(coord.index[p], e) for p, e in exps.items() if p in coord.index]
-            keys.append(_colex_key(coord.row, own))
-            values.append(sum(e * base ** coord.row[c] for c, e in own))
-        assert dense_ranks(keys) == dense_ranks(values)
+    zones = certificate_zones(cert)
+    assert sum(len(rows) for _, rows in zones) == cert.dimension
+    for index, rows in zones:
+        for row in rows:
+            keys, values = [], []
+            for exps in exponents:
+                own = [(index[p], e) for p, e in exps.items() if p in index]
+                keys.append(_colex_key(row, own))
+                values.append(sum(e * base ** row[c] for c, e in own))
+            assert dense_ranks(keys) == dense_ranks(values)
 
 
 @pytest.mark.parametrize("n", [1000, 10**4, 10**5])

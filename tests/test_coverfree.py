@@ -208,6 +208,26 @@ def test_family_json_round_trip():
     assert again.ground_size == fam.ground_size
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d.update(ground_size=9.5),  # read by int() it would be 9
+        lambda d: d.update(r="2"),
+        lambda d: d["sets"][0].__setitem__(0, "a"),
+        lambda d: d["sets"][0].__setitem__(0, [1]),
+        lambda d: d.update(sets=5),
+        lambda d: d.pop("ground_size"),
+    ],
+)
+def test_malformed_family_json_rejected(edit):
+    data = eff_family(field_for(3), 1).to_json_dict()
+    edit(data)
+    with pytest.raises(DomainError):
+        SetFamily.from_json_dict(data)
+    with pytest.raises(DomainError):
+        SetFamily.from_json_dict([data])
+
+
 # --- exact f_r(n) ---------------------------------------------------------------
 
 

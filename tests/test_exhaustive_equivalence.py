@@ -19,9 +19,8 @@ from divdim.pipeline import (
     _failure_kind,
     _verify_exhaustive,
     _zone_owns,
-    _zones,
     build_certificate,
-    certificate_coordinates,
+    certificate_zones,
     plan,
 )
 from divdim.primes import sieve_primes
@@ -29,7 +28,7 @@ from divdim.primes import sieve_primes
 
 def dense_scan(cert, report_notes):
     n = cert.n
-    zones = _zones(certificate_coordinates(cert))
+    zones = certificate_zones(cert)
     owns_by_m = list(map(_zone_owns(zones), range(1, n + 1)))
     values = np.empty((n, sum(len(rows) for _, rows in zones)), dtype=np.int32)
     column = 0

@@ -10,7 +10,7 @@ from divdim.pipeline import (
     _verify_exhaustive,
     bound_table,
     build_certificate,
-    certificate_coordinates,
+    certificate_zones,
     plan,
     verify_certificate,
 )
@@ -103,7 +103,7 @@ def test_certificate_n1000_exercises_both_strategies():
 
 def test_certificate_coordinates_count_matches_dimension():
     cert, _ = cert_for(300)
-    assert len(certificate_coordinates(cert)) == cert.dimension
+    assert sum(len(rows) for _, rows in certificate_zones(cert)) == cert.dimension
 
 
 def test_build_is_deterministic():
