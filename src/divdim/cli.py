@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from itertools import islice
 from pathlib import Path
 
 from .base import DomainError, ResourceLimitError, RetryBudgetError
@@ -23,6 +24,7 @@ from .divposets import (
     DivPosetSpec,
     build_div_poset,
     random_suitable_interval,
+    smooth_preorder,
     verify_interval_suitable,
 )
 from .pipeline import (
@@ -32,7 +34,7 @@ from .pipeline import (
     plan,
     verify_certificate,
 )
-from .posets import exact_dimension, poset_from_edges
+from .posets import DEFAULT_EXACT_GUARD, exact_dimension, poset_from_edges
 from .primes import prime_power_base, sieve_primes
 
 EXIT_OK = 0
@@ -85,6 +87,13 @@ def _cmd_exact_dim(args) -> int:
             spec = DivPosetSpec(n, prime_set=args.primes, squarefree_only=args.squarefree)
         else:
             spec = DivPosetSpec(n, interval=(1, max(n, 2)), squarefree_only=args.squarefree)
+        # refused before the relation, which takes size² bits, is built
+        found = smooth_preorder(spec.resolve(table), n, args.squarefree)
+        if len(list(islice(found, args.max_size + 1))) > args.max_size:
+            raise ResourceLimitError(
+                f"poset has more than {args.max_size} elements, "
+                f"exact search guard is {args.max_size}"
+            )
         poset = build_div_poset(spec, table)
     result = exact_dimension(poset, args.max_d, max_size=args.max_size)
     if result.exceeded:
@@ -250,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--primes", type=_int_list, help="comma-separated prime set restriction")
     p.add_argument("--squarefree", action="store_true")
     p.add_argument("--max-d", type=int, default=None)
-    p.add_argument("--max-size", type=int, default=25)
+    p.add_argument("--max-size", type=int, default=DEFAULT_EXACT_GUARD)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_exact_dim)
 

@@ -245,7 +245,6 @@ def verify_cover_free(
     mode: str = "exhaustive",
     samples: int | None = None,
     seed: int = 0,
-    check_guard: int = EXHAUSTIVE_CHECK_GUARD,
 ) -> Verdict:
     """Check that no member is contained in the union of r others.
 
@@ -261,9 +260,9 @@ def verify_cover_free(
     if mode == "exhaustive":
         if m > r:
             checks = m * math.comb(m - 1, r)
-            if checks > check_guard:
+            if checks > EXHAUSTIVE_CHECK_GUARD:
                 raise ResourceLimitError(
-                    f"{checks} containment checks exceed guard {check_guard}; "
+                    f"{checks} containment checks exceed guard {EXHAUSTIVE_CHECK_GUARD}; "
                     "request sampled mode explicitly"
                 )
         for i, target in enumerate(masks):
@@ -298,21 +297,21 @@ def verify_cover_free(
     raise DomainError(f"unknown mode {mode!r}")
 
 
-def _coverable(target: int, pool: list[int], budget: int) -> bool:
-    """Whether target is contained in a union of at most ``budget`` pool masks."""
+def _coverable(target: int, pool: list[int], picks: int) -> bool:
+    """Whether target is contained in a union of at most ``picks`` pool masks."""
     if target == 0:
         return True
-    if budget == 0:
+    if picks == 0:
         return False
     useful = sorted(
         (m for m in pool if m & target), key=lambda m: -(m & target).bit_count()
     )
     if not useful:
         return False
-    if sum((m & target).bit_count() for m in useful[:budget]) < target.bit_count():
+    if sum((m & target).bit_count() for m in useful[:picks]) < target.bit_count():
         return False
     for idx, m in enumerate(useful):
-        if _coverable(target & ~m, useful[idx + 1 :], budget - 1):
+        if _coverable(target & ~m, useful[idx + 1 :], picks - 1):
             return True
     return False
 

@@ -17,12 +17,11 @@ from typing import Iterator, Sequence
 from .base import DomainError, PreconditionError, RetryBudgetError, Verdict
 from .coverfree import SetFamily, greatest_prime_power
 from .multisets import Permutation
-from .posets import FinitePoset
+from .posets import DEFAULT_EXACT_GUARD, FinitePoset
 from .primes import PrimeTable, factorize
 from .rng import MASK64, SplitMix64, child_seed
 
 RETRY_BUDGET = 8
-EXACT_SIZE_HINT = 25
 # Below this many draw outputs or (row, node) pairs, plain Python finishes
 # sooner than importing numpy (about 0.1 s) would, so small certificates
 # are built without numpy.
@@ -61,40 +60,48 @@ class DivPosetSpec:
         for p in self.prime_set:
             if not table.is_prime(p):
                 raise DomainError(f"{p} is not prime")
-        return tuple(sorted(self.prime_set))
+        return tuple(sorted(set(self.prime_set)))
 
 
-def smooth_numbers(primes: Sequence[int], n: int, *, squarefree: bool = False) -> list[int]:
-    """Ascending m <= n whose prime factors all lie in ``primes`` (1 included)."""
-    out = [1]
+def smooth_preorder(primes: Sequence[int], n: int, squarefree: bool) -> Iterator[int]:
+    """The m <= n whose prime factors all lie in ``primes``, depth first.
 
-    def rec(start: int, value: int) -> None:
+    ``primes`` must be ascending: the first prime that takes a product
+    past n ends the scan, so each step yields a number or stops.
+    """
+
+    def rec(start: int, value: int) -> Iterator[int]:
+        yield value
         for i in range(start, len(primes)):
             p = primes[i]
             v = value * p
+            if v > n:
+                break
             while v <= n:
-                out.append(v)
-                rec(i + 1, v)
+                yield from rec(i + 1, v)
                 if squarefree:
                     break
                 v *= p
 
-    rec(0, 1)
-    out.sort()
-    return out
+    return rec(0, 1)
+
+
+def smooth_numbers(primes: Sequence[int], n: int, *, squarefree: bool = False) -> list[int]:
+    """Ascending m <= n whose prime factors all lie in ``primes`` (1 included)."""
+    return sorted(smooth_preorder(sorted(primes), n, squarefree))
 
 
 def build_div_poset(spec: DivPosetSpec, table: PrimeTable) -> FinitePoset:
     """Materialise the divisibility poset described by ``spec``."""
     primes = spec.resolve(table)
     elems = smooth_numbers(primes, spec.n, squarefree=spec.squarefree_only)
-    if len(elems) > EXACT_SIZE_HINT:
+    if len(elems) > DEFAULT_EXACT_GUARD:
         warnings.warn(
             f"poset has {len(elems)} elements, above the exact-dimension guard "
-            f"({EXACT_SIZE_HINT}); fine for verification-only use",
+            f"({DEFAULT_EXACT_GUARD}); fine for verification-only use",
             stacklevel=2,
         )
-    return FinitePoset.from_predicate(elems, lambda a, b: b % a == 0, trusted=True)
+    return FinitePoset.from_predicate(elems, lambda a, b: b % a == 0)
 
 
 def squarefree_support_sets(primes: Sequence[int], n: int) -> list[frozenset]:
@@ -370,9 +377,7 @@ def suitable_size_cap(n: int, a: float) -> int:
     return math.ceil(2 * math.log(n) ** 2 / math.log(a))
 
 
-def suitable_draw_size(
-    n: int, a: float, length: int, attempt: int, retry_budget: int = RETRY_BUDGET
-) -> int:
+def suitable_draw_size(n: int, a: float, length: int, attempt: int) -> int:
     """Rows drawn at one attempt for ``length`` primes in (a, b].
 
     The size is ceil(log(nL) log n / log a) for L = ``length``, which
@@ -385,17 +390,11 @@ def suitable_draw_size(
         d0 = 1
     else:
         d0 = min(math.ceil(math.log(n * length) * math.log(n) / math.log(a)), cap)
-    return d0 if attempt < retry_budget // 2 else min(2 * d0, cap)
+    return d0 if attempt < RETRY_BUDGET // 2 else min(2 * d0, cap)
 
 
 def random_suitable_interval(
-    n: int,
-    a: float,
-    b: float,
-    seed: int,
-    table: PrimeTable,
-    *,
-    retry_budget: int = RETRY_BUDGET,
+    n: int, a: float, b: float, seed: int, table: PrimeTable
 ) -> IntervalSuitableSet:
     """Draw and verify a suitable set for the primes in (a, b].
 
@@ -409,8 +408,8 @@ def random_suitable_interval(
     primes = table.primes_in(a, b)
     if not primes:
         raise DomainError(f"no primes in ({a}, {b}]")
-    for attempt in range(retry_budget):
-        size = suitable_draw_size(n, a, len(primes), attempt, retry_budget)
+    for attempt in range(RETRY_BUDGET):
+        size = suitable_draw_size(n, a, len(primes), attempt)
         rows = draw_interval_perms(primes, seed, attempt, size)
         verdict = check_interval_suitability(n, primes, rows)
         if verdict:
@@ -425,9 +424,8 @@ def random_suitable_interval(
                 target_size=size,
             )
     raise RetryBudgetError(
-        f"no suitable set found for ({a}, {b}] with n={n} in {retry_budget} "
-        f"retries at draw size "
-        f"{suitable_draw_size(n, a, len(primes), retry_budget - 1, retry_budget)}"
+        f"no suitable set found for ({a}, {b}] with n={n} in {RETRY_BUDGET} "
+        f"retries at draw size {suitable_draw_size(n, a, len(primes), RETRY_BUDGET - 1)}"
     )
 
 

@@ -19,6 +19,8 @@ from .posets import FinitePoset, LinearExtension, Realiser
 from .rng import SplitMix64, child_seed
 
 MIN_SUITABLE_GUARD = 8
+# largest multiplicity of an element in a random_downset maximum
+DOWNSET_MAX_MULTIPLICITY = 2
 
 
 @dataclass(frozen=True)
@@ -118,9 +120,7 @@ class DownsetFamily:
         return tuple(out)
 
     def poset(self) -> FinitePoset:
-        return FinitePoset.from_predicate(
-            self.members, lambda a, b: a.le(b), trusted=True
-        )
+        return FinitePoset.from_predicate(self.members, lambda a, b: a.le(b))
 
     def restrict(self, block: Sequence) -> "DownsetFamily":
         block = tuple(block)
@@ -445,7 +445,6 @@ def random_downset(
     ground: Sequence,
     seed: int,
     *,
-    max_multiplicity: int = 2,
     max_members: int = 25,
 ) -> DownsetFamily:
     """Seed-deterministic random downset: sampled maxima, closed downward.
@@ -460,7 +459,7 @@ def random_downset(
         maxima = []
         for _ in range(count):
             counts = tuple(
-                rng.randbelow(max_multiplicity + 1) for _ in ground
+                rng.randbelow(DOWNSET_MAX_MULTIPLICITY + 1) for _ in ground
             )
             maxima.append(Multiset(ground, counts))
         family = DownsetFamily.build(ground, maxima, close=True)

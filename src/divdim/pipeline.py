@@ -737,17 +737,17 @@ def verify_certificate(
     mode: str = "exhaustive",
     samples: int | None = None,
     sample_seed: int = 0,
-    check_integrity: bool = True,
 ) -> VerificationReport:
     """Independent re-check of a certificate.
 
-    The integrity phase re-derives permutations from seeds and families
-    from field parameters, so any mutation of recorded data is reported
-    even when redundant coordinates would mask it functionally.  The
-    functional phase then checks m | m' iff coordinatewise <= on all
-    ordered pairs or on N sampled pairs.  The exhaustive scan (n <= 2000)
-    builds the relation zone by zone as packed bitsets: n²/8 bytes for
-    the up-sets plus the n × n booleans of divisibility.
+    The integrity phase always runs first: it re-derives permutations
+    from seeds and families from field parameters, so any mutation of
+    recorded data is reported even when redundant coordinates would mask
+    it functionally.  The functional phase then checks m | m' iff
+    coordinatewise <= on all ordered pairs or on N sampled pairs.  The
+    exhaustive scan (n <= 2000) builds the relation zone by zone as
+    packed bitsets: n²/8 bytes for the up-sets plus the n × n booleans
+    of divisibility.
     """
     start = time.perf_counter()
     if mode not in ("exhaustive", "sampled"):
@@ -762,7 +762,7 @@ def verify_certificate(
     if table is None:
         table = sieve_primes(max(cert.n, 2))
     notes: list[str] = []
-    integrity = _integrity_failures(cert, table) if check_integrity else []
+    integrity = _integrity_failures(cert, table)
     if mode == "exhaustive":
         pairs, failures = _verify_exhaustive(cert, notes)
     else:

@@ -18,44 +18,41 @@ from .base import DomainError, ResourceLimitError, Verdict
 Element = Hashable
 
 DEFAULT_EXACT_GUARD = 25
+PRODUCT_SIZE_GUARD = 20_000
 
 
 class FinitePoset:
     """Explicit finite poset over distinct hashable elements.
 
-    The relation is stored as one successor bitmask per element.  It is
-    reflexive-transitively closed at construction; inputs whose closure
-    would break antisymmetry are rejected.
+    The relation is stored as one successor bitmask per element.  The
+    constructor closes it reflexively and transitively; inputs whose
+    closure would break antisymmetry are rejected.
     """
 
     __slots__ = ("elements", "_index", "_up", "_down")
 
     def __init__(self, elements: Iterable[Element], pairs: Iterable[tuple] = ()):
-        rows, elems, index = self._rows_from_pairs(elements, pairs)
-        self._close(rows)
-        self._finish(elems, index, rows)
-
-    @staticmethod
-    def _rows_from_pairs(elements, pairs):
-        elems = tuple(elements)
-        if len(set(elems)) != len(elems):
-            raise DomainError("poset elements must be distinct")
-        index = {e: i for i, e in enumerate(elems)}
+        elems, index = self._indexed(elements)
         rows = [1 << i for i in range(len(elems))]
         for a, b in pairs:
             if a not in index or b not in index:
                 raise DomainError(f"relation mentions unknown element in ({a!r}, {b!r})")
             rows[index[a]] |= 1 << index[b]
-        return rows, elems, index
-
-    @staticmethod
-    def _close(rows: list[int]) -> None:
-        for k in range(len(rows)):
+        for k in range(len(rows)):  # transitive closure, one pivot at a time
             bit = 1 << k
             row = rows[k]
             for i in range(len(rows)):
                 if rows[i] & bit:
                     rows[i] |= row
+        self._finish(elems, index, rows)
+
+    @staticmethod
+    def _indexed(elements) -> tuple[tuple, dict]:
+        elems = tuple(elements)
+        index = {e: i for i, e in enumerate(elems)}
+        if len(index) != len(elems):
+            raise DomainError("poset elements must be distinct")
+        return elems, index
 
     def _finish(self, elems, index, rows):
         n = len(elems)
@@ -80,20 +77,16 @@ class FinitePoset:
         cls,
         elements: Iterable[Element],
         leq: Callable[[Element, Element], bool],
-        *,
-        trusted: bool = False,
     ) -> "FinitePoset":
         """Build from a comparison predicate.
 
-        ``trusted=True`` skips the closure pass for relations that are
-        transitive by construction (divisibility, containment, products).
-        Antisymmetry is always checked.
+        ``leq`` must be reflexive and transitive, as divisibility,
+        containment and product orders are: no closure pass is run, so
+        use ``FinitePoset(elements, pairs)`` for a relation that needs
+        closing.  Antisymmetry is always checked.
         """
         self = cls.__new__(cls)
-        elems = tuple(elements)
-        if len(set(elems)) != len(elems):
-            raise DomainError("poset elements must be distinct")
-        index = {e: i for i, e in enumerate(elems)}
+        elems, index = cls._indexed(elements)
         rows = []
         for i, a in enumerate(elems):
             m = 1 << i
@@ -101,8 +94,6 @@ class FinitePoset:
                 if i != j and leq(a, b):
                     m |= 1 << j
             rows.append(m)
-        if not trusted:
-            cls._close(rows)
         self._finish(elems, index, rows)
         return self
 
@@ -226,21 +217,23 @@ def verify_embedding(
     return Verdict(True)
 
 
-def product_order(posets: Sequence[FinitePoset], *, max_size: int = 20_000) -> FinitePoset:
+def product_order(posets: Sequence[FinitePoset]) -> FinitePoset:
     """Coordinatewise order on the cartesian product of the ground sets."""
     if not posets:
         raise DomainError("product of zero posets is not supported")
     total = 1
     for p in posets:
         total *= len(p)
-    if total > max_size:
-        raise ResourceLimitError(f"product has {total} elements, guard is {max_size}")
+    if total > PRODUCT_SIZE_GUARD:
+        raise ResourceLimitError(
+            f"product has {total} elements, guard is {PRODUCT_SIZE_GUARD}"
+        )
     elements = list(itertools.product(*(p.elements for p in posets)))
 
     def leq(a, b):
         return all(p.leq(x, y) for p, x, y in zip(posets, a, b))
 
-    return FinitePoset.from_predicate(elements, leq, trusted=True)
+    return FinitePoset.from_predicate(elements, leq)
 
 
 def poset_from_edges(text: str) -> FinitePoset:

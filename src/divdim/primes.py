@@ -48,18 +48,16 @@ class PrimeTable:
         return self.primes[left:right]
 
 
-def sieve_primes(limit: int, *, budget: int = DEFAULT_SIEVE_BUDGET) -> PrimeTable:
+def sieve_primes(limit: int) -> PrimeTable:
     """Plain Eratosthenes bitset up to ``limit``."""
     if limit < 1:
         raise DomainError("limit must be >= 1")
-    if limit + 1 > budget:
+    if limit + 1 > DEFAULT_SIEVE_BUDGET:
         raise ResourceLimitError(
-            f"sieve limit {limit} exceeds memory budget {budget}"
+            f"sieve limit {limit} exceeds memory budget {DEFAULT_SIEVE_BUDGET}"
         )
     flags = bytearray([1]) * (limit + 1)
-    flags[0] = 0
-    if limit >= 1:
-        flags[1] = 0
+    flags[0] = flags[1] = 0
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             start = p * p

@@ -43,7 +43,7 @@ def test_criterion_1_downset_oracle_equivalence():
     checked = 0
     for seed in range(100):
         ground = (1, 2, 3, 4)[: 2 + seed % 3 + (seed % 5 == 0)]
-        family = random_downset(ground, seed, max_multiplicity=2, max_members=20)
+        family = random_downset(ground, seed, max_members=20)
         supports = support_family(family)
         dim_family = exact_dimension(family.poset()).dimension
         dim_supports = exact_dimension(supports.poset()).dimension

@@ -101,7 +101,7 @@ def poset_embedding_verdict(n, primes, family) -> Verdict:
     for m in smooth_numbers(primes, n, squarefree=True):
         masks[m] = sum(1 << i for i, p in enumerate(primes) if m % p == 0)
     source = FinitePoset.from_predicate(
-        sorted(masks), lambda x, y: masks[x] & ~masks[y] == 0, trusted=True
+        sorted(masks), lambda x, y: masks[x] & ~masks[y] == 0
     )
     phi = {}
     for value, mask in masks.items():
@@ -111,7 +111,7 @@ def poset_embedding_verdict(n, primes, family) -> Verdict:
                 image |= family.sets[i]
         phi[value] = image
     targets = sorted(set(phi.values()), key=sorted)
-    target = FinitePoset.from_predicate(targets, lambda x, y: x <= y, trusted=True)
+    target = FinitePoset.from_predicate(targets, lambda x, y: x <= y)
     return verify_embedding(source, target, phi)
 
 
@@ -365,11 +365,11 @@ def test_mask_check_matches_verify_embedding_both_directions():
         masks = rng.sample(range(2**width), count)
         images = [rng.randrange(2**height) for _ in masks]
         source = FinitePoset.from_predicate(
-            range(count), lambda x, y: masks[x] & ~masks[y] == 0, trusted=True
+            range(count), lambda x, y: masks[x] & ~masks[y] == 0
         )
         as_sets = [frozenset(e for e in range(height) if m >> e & 1) for m in images]
         targets = sorted(set(as_sets), key=sorted)
-        target = FinitePoset.from_predicate(targets, lambda x, y: x <= y, trusted=True)
+        target = FinitePoset.from_predicate(targets, lambda x, y: x <= y)
         expected = verify_embedding(source, target, dict(enumerate(as_sets)))
         found = divposets._first_containment_mismatch(masks, images)
         assert found == (None if expected else expected.witness)

@@ -54,6 +54,21 @@ def test_exact_dim_guard_exit_code():
     assert main(["exact-dim", "--divisibility", "100"]) == 3
 
 
+def test_exact_dim_guard_fires_before_the_poset_is_built():
+    # the relation of [10^6] would take 125 GB
+    done = _divdim("exact-dim", "--divisibility", "1000000", timeout=20)
+    assert done.returncode == 3, done.stderr
+    assert done.stderr.startswith("guard: ")
+    assert "Traceback" not in done.stderr
+
+
+def test_exact_dim_repeated_prime_is_dropped(capsys):
+    assert main(["exact-dim", "--divisibility", "10", "--primes", "2"]) == 0
+    once = capsys.readouterr()
+    assert main(["exact-dim", "--divisibility", "10", "--primes", "2,2"]) == 0
+    assert capsys.readouterr() == once
+
+
 def test_suitable(tmp_path, capsys):
     out = tmp_path / "s.json"
     code = main(
@@ -167,6 +182,8 @@ def test_inputs_beyond_word_cap_rejected(capsys):
         (150, 3, "e3821058664a235752667bb20834da31895edc71e552e49c8d6dfb295cc06439"),
         (1000, 0, "4cbf348a3bce7f0736b64ff0e656c497ad0d06b4aab9b064f917469423d160c0"),
         (2000, 0, "b32e4835bc6452639d33e7f067c41e743877698348f847dc26478bf102c98488"),
+        # the only pin that runs the block draw and the numpy suitability check
+        (100000, 0, "ec330e99dbe58b6dc1f3c129f6f2a21d45155541052049a1427512d4eaba1380"),
     ],
 )
 def test_certify_output_is_pinned(tmp_path, capsys, n, seed, digest):

@@ -173,7 +173,7 @@ def test_exhaustive_guard():
     sets = tuple(frozenset({i}) for i in range(40))
     fam = SetFamily(40, sets)
     with pytest.raises(ResourceLimitError):
-        verify_cover_free(fam, 15, check_guard=1000)
+        verify_cover_free(fam, 15)
     verdict = verify_cover_free(fam, 15, mode="sampled", samples=100)
     assert verdict
     assert "sample" in verdict.note

@@ -1,9 +1,11 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from divdim import divposets
 from divdim.base import DomainError, PreconditionError, RetryBudgetError
 from divdim.coverfree import build_field, eff_family
 from divdim.divposets import (
@@ -20,7 +22,7 @@ from divdim.divposets import (
 )
 from divdim.multisets import min_suitable
 from divdim.posets import exact_dimension
-from divdim.primes import sieve_primes
+from divdim.primes import factorize, sieve_primes
 
 TABLE = sieve_primes(10**4)
 
@@ -70,6 +72,22 @@ def test_smooth_numbers_enumeration():
     assert smooth_numbers((2, 3), 20) == [1, 2, 3, 4, 6, 8, 9, 12, 16, 18]
     assert smooth_numbers((2, 3), 20, squarefree=True) == [1, 2, 3, 6]
     assert smooth_numbers((7, 11, 13), 30, squarefree=True) == [1, 7, 11, 13]
+
+
+def test_smooth_numbers_match_a_factorisation_filter():
+    n = 2000
+    factors = {m: factorize(m) for m in range(1, n + 1)}
+    rng = random.Random(5)
+    pool = TABLE.primes_in(0, n)
+    subsets = [pool, (2,), (1999,)] + [rng.sample(pool, rng.randint(1, 8)) for _ in range(30)]
+    for primes in subsets:  # sampled subsets are unordered
+        for squarefree in (False, True):
+            expected = [
+                m
+                for m, f in factors.items()
+                if set(f) <= set(primes) and (not squarefree or set(f.values()) <= {1})
+            ]
+            assert smooth_numbers(primes, n, squarefree=squarefree) == expected
 
 
 # --- the squarefree reduction on real divisibility posets -------------------
@@ -134,12 +152,11 @@ def test_domain_checks():
         random_suitable_interval(100, 23.1, 28.9, 0, TABLE)  # no prime inside
 
 
-def test_retry_budget_exhaustion_reports():
-    # an adversarial verifier budget: forbid retries entirely and force a
-    # fail by drawing zero-size sets is not reachable; instead check the
-    # budget path via an impossible draw count monkeypatch-free: budget 0
+def test_retry_budget_exhaustion_reports(monkeypatch):
+    # with no retries allowed the budget path is the only way out
+    monkeypatch.setattr(divposets, "RETRY_BUDGET", 0)
     with pytest.raises(RetryBudgetError):
-        random_suitable_interval(100, 7, 97, 0, TABLE, retry_budget=0)
+        random_suitable_interval(100, 7, 97, 0, TABLE)
 
 
 @given(st.integers(min_value=0, max_value=50))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from divdim.base import DomainError, ResourceLimitError
 from divdim.primes import (
+    DEFAULT_SIEVE_BUDGET,
     factorize,
     is_prime,
     prime_power_base,
@@ -64,7 +65,7 @@ def test_primes_in_half_open_interval():
 
 def test_sieve_budget_guard():
     with pytest.raises(ResourceLimitError):
-        sieve_primes(10**7, budget=1000)
+        sieve_primes(DEFAULT_SIEVE_BUDGET)
 
 
 def test_queries_outside_limit_rejected():
