@@ -10,8 +10,10 @@ import argparse
 import dataclasses
 import json
 import sys
+import warnings
 from itertools import islice
 from pathlib import Path
+from typing import Iterable
 
 from .base import DomainError, ResourceLimitError, RetryBudgetError
 from .coverfree import (
@@ -34,7 +36,7 @@ from .pipeline import (
     plan,
     verify_certificate,
 )
-from .posets import DEFAULT_EXACT_GUARD, exact_dimension, poset_from_edges
+from .posets import DEFAULT_EXACT_GUARD, FinitePoset, exact_dimension, parse_edges
 from .primes import prime_power_base, sieve_primes
 
 EXIT_OK = 0
@@ -74,27 +76,40 @@ def _cmd_sieve(args) -> int:
     return EXIT_OK
 
 
+def _refuse_above(elements: Iterable, max_size: int) -> None:
+    """Refuse a poset of more than ``max_size`` elements before it is built.
+
+    Building closes the relation, which takes size² bits, so the guard
+    counts at most max_size + 1 of the elements first.
+    """
+    if len(list(islice(elements, max_size + 1))) > max_size:
+        raise ResourceLimitError(
+            f"poset has more than {max_size} elements, exact search guard is {max_size}"
+        )
+
+
 def _cmd_exact_dim(args) -> int:
     if (args.edges is None) == (args.divisibility is None):
         print("give exactly one of --edges and --divisibility", file=sys.stderr)
         return EXIT_USAGE
     if args.edges is not None:
-        poset = poset_from_edges(Path(args.edges).read_text())
+        labels, pairs = parse_edges(Path(args.edges).read_text())
+        _refuse_above(labels, args.max_size)
+        poset = FinitePoset(labels, pairs)
     else:
         n = args.divisibility
-        table = sieve_primes(max(n, 2))
         if args.primes:
             spec = DivPosetSpec(n, prime_set=args.primes, squarefree_only=args.squarefree)
+            # enough to tell whether each given prime is prime and at most n
+            table = sieve_primes(max(min(max(args.primes), n), 2))
         else:
             spec = DivPosetSpec(n, interval=(1, max(n, 2)), squarefree_only=args.squarefree)
-        # refused before the relation, which takes size² bits, is built
-        found = smooth_preorder(spec.resolve(table), n, args.squarefree)
-        if len(list(islice(found, args.max_size + 1))) > args.max_size:
-            raise ResourceLimitError(
-                f"poset has more than {args.max_size} elements, "
-                f"exact search guard is {args.max_size}"
-            )
-        poset = build_div_poset(spec, table)
+            table = sieve_primes(max(n, 2))
+        _refuse_above(smooth_preorder(spec.resolve(table), n, args.squarefree), args.max_size)
+        with warnings.catch_warnings():
+            # build_div_poset warns against the default guard; --max-size is checked above
+            warnings.simplefilter("ignore", UserWarning)
+            poset = build_div_poset(spec, table)
     result = exact_dimension(poset, args.max_d, max_size=args.max_size)
     if result.exceeded:
         print(f"dimension exceeds max_d = {result.max_d}")

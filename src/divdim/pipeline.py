@@ -15,7 +15,7 @@ import math
 import time
 from dataclasses import dataclass, field, fields
 from itertools import islice
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .base import DomainError, O1_DROPPED_NOTE, ResourceLimitError, RetryBudgetError
 from .coverfree import SetFamily, build_field, eff_family
@@ -29,12 +29,17 @@ from .divposets import (
     random_suitable_interval,
     suitable_draw_size,
 )
-from .primes import PrimeTable, factorize, prime_power_base, sieve_primes
-from .rng import SplitMix64, child_seed
+from .primes import PrimeTable, factorize, factorize_many, prime_power_base, sieve_primes
+from .rng import MASK64, SplitMix64, child_seed
 
 SCHEMA_VERSION = 1
 CERTIFICATE_FORMAT = "divdim-certificate"
 EXHAUSTIVE_VERIFY_GUARD = 2000
+# ordered pairs the sampled verifier checks at once; its memory is
+# O(SAMPLE_BATCH), whatever the sample count
+SAMPLE_BATCH = 2048
+# colex codes, (row, own, pair) cells, that _colex_places handles at once
+PLACES_BLOCK = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +228,12 @@ class CoverFreeZoneCert:
         exponent 1); that family of orderings is suitable for the zone's
         squarefree supports.
         """
-        members = [[(e, 1) for e in self.family[i]] for i in self.phi]
+        members = self.members()
         return [_colex_ranks(sigma, members) for sigma in self.sigma_ranks]
+
+    def members(self) -> list[tuple[tuple[int, int], ...]]:
+        """Each prime's member set, as (ground element, exponent 1) pairs."""
+        return [tuple((e, 1) for e in self.family[i]) for i in self.phi]
 
 
 _ZONE_TYPES = {z.kind: z for z in (ChainZoneCert, SuitableZoneCert, CoverFreeZoneCert)}
@@ -525,6 +534,71 @@ def _colex_ranks(row: Sequence[int], owns: Iterable) -> list[int]:
     return ranks
 
 
+def _rank_matrix(rows: Sequence[Sequence[int]]):
+    """Equal-length rank rows as one int64 array of values in range(len(row)).
+
+    A row holding a value outside that range (``check_shape`` lets it
+    through, integrity rejects it) is replaced by the dense order of its
+    values.  That keeps their order and ties, so every colex comparison
+    comes out the same, and no recorded value, however large, is
+    multiplied or overflows int64.
+    """
+    import numpy as np
+
+    try:
+        ranks = np.asarray(rows, dtype=np.int64)
+    except OverflowError:  # a value beyond int64
+        ranks = np.array(rows, dtype=object)
+    ranks = ranks.reshape(len(rows), len(rows[0]) if len(rows) else 0)
+    if (ranks >= ranks.shape[1]).any():
+        dense = [np.unique(row, return_inverse=True)[1] for row in ranks]
+        ranks = np.array(dense, dtype=np.int64).reshape(ranks.shape)
+    return ranks
+
+
+def _colex_places(rows: Sequence[Sequence[int]], owns: Sequence) -> Iterator:
+    """Each own's place among the distinct colex keys, row by row.
+
+    Yields one array per row; its entry k equals
+    ``_colex_ranks(row, owns)[k]``, so equal keys share a place.  The
+    rows go through ``_rank_matrix`` first.  Each (column, exponent)
+    pair is coded rank·(E+1)+e, with E the largest exponent, and padded
+    with 0, which is below every code; an own's codes sorted ascending
+    read its key from the end.  So ``lexsort`` with the last code as
+    primary key orders the owns as their keys, and a neighbour whose
+    codes differ starts a new place.  Rows are coded PLACES_BLOCK codes
+    at a time.
+    """
+    import numpy as np
+
+    ranks = _rank_matrix(rows)
+    width = max(map(len, owns), default=0)
+    if not width:  # every key is empty
+        yield from np.zeros((len(ranks), len(owns)), dtype=np.int64)
+        return
+    lengths = np.fromiter(map(len, owns), dtype=np.intp, count=len(owns))
+    used = np.arange(width) < lengths[:, None]
+    pairs = np.array([pair for own in owns for pair in own], dtype=np.int64)
+    cols = np.zeros(used.shape, dtype=np.intp)
+    exps = np.zeros(used.shape, dtype=np.int64)
+    cols[used], exps[used] = pairs[:, 0], pairs[:, 1]
+    base = int(exps.max()) + 1
+    step = max(1, PLACES_BLOCK // used.size)
+    for lo in range(0, len(ranks), step):
+        codes = ranks[lo : lo + step, cols]
+        codes *= base
+        codes += exps
+        codes *= used
+        codes.sort(axis=2)
+        order = np.lexsort(np.moveaxis(codes, 2, 0), axis=-1)
+        codes = np.take_along_axis(codes, order[:, :, None], axis=1)
+        steps = np.zeros(order.shape, dtype=np.int64)
+        np.cumsum((codes[:, 1:] != codes[:, :-1]).any(axis=2), axis=1, out=steps[:, 1:])
+        places = np.empty_like(steps)
+        np.put_along_axis(places, order, steps, axis=1)
+        yield from places
+
+
 # a zone's prime -> column dict and the rank rows of its coordinates
 _Zone = tuple[dict[int, int], Sequence[Sequence[int]]]
 
@@ -533,7 +607,8 @@ def certificate_zones(cert: RealiserCertificate) -> list[_Zone]:
     """The certificate's zones, each a colex order per row on its primes.
 
     A chain contributes one one-prime zone per prime, with the single
-    row (0,).
+    row (0,).  A cover-free zone's rows are its ``tau_rank_rows``, which
+    ``_colex_places`` gives for all ground permutations at once.
     """
     zones: list[_Zone] = []
     for zone in cert.zones:
@@ -541,25 +616,29 @@ def certificate_zones(cert: RealiserCertificate) -> list[_Zone]:
             zones.extend(({p: 0}, [(0,)]) for p in zone.primes)
             continue
         index = {p: i for i, p in enumerate(zone.primes)}
-        rows = zone.ranks if zone.kind == "random-suitable" else zone.tau_rank_rows()
+        if zone.kind == "random-suitable":
+            rows = zone.ranks
+        else:
+            rows = list(_colex_places(zone.sigma_ranks, zone.members()))
         zones.append((index, rows))
     return zones
 
 
-def _zone_owns(zones: list[_Zone]) -> Callable[[int], dict[int, tuple]]:
+def _zone_owns(zones: list[_Zone]) -> Callable[..., dict[int, tuple]]:
     """A map from m to {zone number: own}, for the zones m meets.
 
     ``own`` is m's (column, exponent) pairs on the zone's primes, from
-    ``factorize``.  A zone m does not meet is absent: its own is ().
+    ``factorize`` or from m's factorisation when the caller has it.  A
+    zone m does not meet is absent: its own is ().
     """
     homes: dict[int, tuple[int, ...]] = {}
     for zi, (index, _) in enumerate(zones):
         for p in index:
             homes[p] = homes.get(p, ()) + (zi,)
 
-    def owns(m: int) -> dict[int, tuple]:
+    def owns(m: int, factors: dict[int, int] | None = None) -> dict[int, tuple]:
         found: dict[int, tuple] = {}
-        for p, e in factorize(m).items():
+        for p, e in (factorize(m) if factors is None else factors).items():
             for zi in homes.get(p, ()):
                 found[zi] = found.get(zi, ()) + ((zones[zi][0][p], e),)
         return found
@@ -676,9 +755,8 @@ def _verify_exhaustive(
             [distinct.setdefault(own.get(zi, ()), len(distinct)) for own in owns_by_m]
         )
         below = np.ones((len(distinct), len(distinct)), dtype=bool)
-        for row in rows:
-            rank = np.array(_colex_ranks(row, distinct))
-            below &= rank[:, None] <= rank[None, :]
+        for place in _colex_places(rows, list(distinct)):
+            below &= place[:, None] <= place[None, :]
         up &= np.packbits(below[:, group], axis=1)[group]
     divides = np.zeros((n, n), dtype=bool)
     for a in range(1, n + 1):
@@ -698,35 +776,96 @@ def _verify_exhaustive(
     return n * n - n, failures
 
 
+def _sample_pairs(n: int, count: int, seed: int) -> Iterator:
+    """The first ``count`` ordered pairs a != b of [1, n] drawn from ``seed``.
+
+    They are the pairs of the scalar draw: a = randbelow(n) + 1 and
+    then b the same way from SplitMix64(seed), skipping a == b.  Here
+    the outputs come a block at a time; those in randbelow's rejection
+    region are dropped, consecutive accepted outputs pair up as (a, b),
+    and pairs with a == b are dropped.  The pairs come as two uint64
+    arrays of at most SAMPLE_BATCH each; accepted outputs left over
+    wait for the next batch.  Needs 2 <= n < 2^64.
+    """
+    import numpy as np
+
+    rng = SplitMix64(seed)
+    limit = (MASK64 + 1) - (MASK64 + 1) % n  # randbelow rejects outputs at or above it
+    values = np.empty(0, dtype=np.uint64)  # accepted draws not yet used, in [1, n]
+    while count:
+        want = min(count, SAMPLE_BATCH)
+        while True:
+            half = len(values) // 2
+            a, b = values[: 2 * half : 2], values[1 : 2 * half : 2]
+            kept = np.flatnonzero(a != b)
+            if len(kept) >= want:
+                break
+            block = rng.next_block(2 * (want - len(kept)) + 16)
+            if limit <= MASK64:
+                block = block[block < np.uint64(limit)]
+            values = np.concatenate([values, block % np.uint64(n) + np.uint64(1)])
+        used = kept[:want]
+        yield a[used], b[used]
+        values = values[2 * used[-1] + 2 :]
+        count -= want
+
+
+def _below_everywhere(zones: list[_Zone], owns_of: Callable, a, b):
+    """For each pair, whether a lies at or below b in every coordinate.
+
+    Each distinct number's owns come from ``owns_of``, once, with the
+    numbers factorised together by ``factorize_many``.  A zone's
+    coordinates read only the owns, and every row ranks equal owns
+    equally, so a zone checks only the pairs whose owns differ there and
+    that no earlier row has ruled out, one row at a time.
+    """
+    import numpy as np
+
+    numbers, index = np.unique(np.concatenate([a, b]), return_inverse=True)
+    ia, ib = index[: len(a)], index[len(a) :]
+    # per zone, each number's own as a place in that zone's dict; () is 0
+    distinct: list[dict[tuple, int]] = [{(): 0} for _ in zones]
+    group = np.zeros((len(zones), len(numbers)), dtype=np.int32)
+    for k, found in enumerate(map(owns_of, numbers.tolist(), factorize_many(numbers))):
+        for zi, own in found.items():
+            group[zi, k] = distinct[zi].setdefault(own, len(distinct[zi]))
+    below = np.ones(len(a), dtype=bool)
+    for (_, rows), parts, g in zip(zones, distinct, group):
+        ga, gb = g[ia], g[ib]
+        live = np.flatnonzero(below & (ga != gb))
+        if not len(live):
+            continue
+        below[live] = False
+        for place in _colex_places(rows, list(parts)):
+            live = live[place[ga[live]] <= place[gb[live]]]
+        below[live] = True
+    return below
+
+
 def _verify_sampled(
     cert: RealiserCertificate, samples: int, sample_seed: int
 ) -> tuple[int, list[tuple]]:
+    """Check ``samples`` drawn pairs, SAMPLE_BATCH at a time.
+
+    Stops at the 20th failure, and then counts the pairs up to it.
+    """
+    import numpy as np
+
     n = cert.n
     if n < 2:  # no ordered pair a != b to draw
         return 0, []
-    zones = certificate_zones(cert)
-    owns = _zone_owns(zones)
-    rng = SplitMix64(sample_seed)
+    zones = [(index, _rank_matrix(rows)) for index, rows in certificate_zones(cert)]
+    owns_of = _zone_owns(zones)
     failures: list[tuple] = []
     checked = 0
-    while checked < samples:
-        a = rng.randbelow(n) + 1
-        b = rng.randbelow(n) + 1
-        if a == b:
-            continue
-        checked += 1
-        oa, ob = owns(a), owns(b)
-        # every coordinate of a zone where own(a) == own(b) is equal on a and b
-        met = [zi for zi in sorted(oa.keys() | ob.keys()) if oa.get(zi) != ob.get(zi)]
-        below = (
-            _colex_key(row, oa.get(zi, ())) <= _colex_key(row, ob.get(zi, ()))
-            for zi in met
-            for row in zones[zi][1]
-        )
-        if all(below) != (b % a == 0):
-            failures.append((a, b, _failure_kind(a, b)))
-        if len(failures) >= 20:
-            break
+    for a, b in _sample_pairs(n, samples, sample_seed):
+        wrong = np.flatnonzero(_below_everywhere(zones, owns_of, a, b) != (b % a == 0))
+        for i in wrong[: 20 - len(failures)].tolist():
+            x, y = int(a[i]), int(b[i])
+            failures.append((x, y, _failure_kind(x, y)))
+            if len(failures) == 20:
+                return checked + i + 1, failures
+        checked += len(a)
     return checked, failures
 
 
@@ -744,10 +883,15 @@ def verify_certificate(
     from seeds and families from field parameters, so any mutation of
     recorded data is reported even when redundant coordinates would mask
     it functionally.  The functional phase then checks m | m' iff
-    coordinatewise <= on all ordered pairs or on N sampled pairs.  The
-    exhaustive scan (n <= 2000) builds the relation zone by zone as
-    packed bitsets: n²/8 bytes for the up-sets plus the n × n booleans
-    of divisibility.
+    coordinatewise <= on all ordered pairs or on N sampled pairs.  Both
+    modes compare numbers zone by zone, through each distinct zone
+    part's place among the distinct colex keys under each row
+    (``_colex_places``).  The exhaustive scan (n <= 2000) builds the
+    relation as packed bitsets: n²/8 bytes for the up-sets plus the
+    n × n booleans of divisibility.  Sampled mode draws and checks
+    SAMPLE_BATCH pairs at a time, so beyond the certificate and its rank
+    rows as one array per zone its memory does not grow with N; it stops
+    at the batch that holds the 20th failure.
     """
     start = time.perf_counter()
     if mode not in ("exhaustive", "sampled"):

@@ -238,6 +238,11 @@ def product_order(posets: Sequence[FinitePoset]) -> FinitePoset:
 
 def poset_from_edges(text: str) -> FinitePoset:
     """Parse one "a < b" pair per line into a poset over string labels."""
+    return FinitePoset(*parse_edges(text))
+
+
+def parse_edges(text: str) -> tuple[tuple[str, ...], list[tuple[str, str]]]:
+    """The labels, in order of first use, and the pairs of "a < b" lines."""
     pairs = []
     seen: dict[str, None] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -255,7 +260,7 @@ def poset_from_edges(text: str) -> FinitePoset:
         pairs.append((a, b))
     if not seen:
         raise DomainError("no edges found")
-    return FinitePoset(tuple(seen), pairs)
+    return tuple(seen), pairs
 
 
 def _topological_order(up: Sequence[int], down: Sequence[int]) -> list[int]:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import islice
+from typing import Iterator
 
 from .base import DomainError, ResourceLimitError
 
@@ -85,6 +87,41 @@ def factorize(a: int) -> dict[int, int]:
     if a > 1:
         out[a] = out.get(a, 0) + 1
     return out
+
+
+def factorize_many(values) -> Iterator[dict[int, int]]:
+    """``factorize(v)`` for each of ``values`` in turn, trial-dividing them at once.
+
+    ``values`` are positive, below 2^63, and their square roots within
+    the sieve budget.  Each prime p up to the square root of the largest
+    value divides out of every value it divides, in ascending order;
+    what is left above 1 is a prime larger than all of them.  So each
+    dict is the factorisation with its primes ascending, as
+    ``factorize`` gives it.  The dicts are made one at a time, as they
+    are asked for.
+    """
+    import numpy as np
+
+    rest = np.array(values, dtype=np.int64)
+    if (rest < 1).any():
+        raise DomainError("factorize requires a positive integer")
+    found = []  # (value index, prime, exponent) columns, primes ascending
+    for p in sieve_primes(max(math.isqrt(int(rest.max(initial=1))), 1)).primes:
+        hit = np.flatnonzero(rest % p == 0)
+        exps = np.zeros(len(hit), dtype=np.int64)
+        live = np.arange(len(hit))
+        while len(live):
+            rest[hit[live]] //= p
+            exps[live] += 1
+            live = live[rest[hit[live]] % p == 0]
+        found.append((hit, np.full(len(hit), p), exps))
+    big = np.flatnonzero(rest > 1)
+    found.append((big, rest[big], np.ones(len(big), dtype=np.int64)))
+    index, primes, exps = map(np.concatenate, zip(*found))
+    order = np.argsort(index, kind="stable")  # keeps each value's primes ascending
+    pairs = zip(primes[order].tolist(), exps[order].tolist())
+    for count in np.bincount(index, minlength=len(rest)).tolist():
+        yield dict(islice(pairs, count))
 
 
 def squarefree_part(a: int) -> int:

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import divdim
+from divdim import cli
 from divdim.cli import main
+from divdim.primes import sieve_primes
 
 
 def test_sieve(capsys):
@@ -60,6 +62,63 @@ def test_exact_dim_guard_fires_before_the_poset_is_built():
     assert done.returncode == 3, done.stderr
     assert done.stderr.startswith("guard: ")
     assert "Traceback" not in done.stderr
+
+
+def test_exact_dim_edges_guard_fires_before_the_poset_is_built(tmp_path):
+    # closing the relation of a 3001-element chain took seconds
+    edges = tmp_path / "chain.txt"
+    edges.write_text("".join(f"v{i} < v{i + 1}\n" for i in range(3000)))
+    done = _divdim("exact-dim", "--edges", str(edges), timeout=5)
+    assert done.returncode == 3, done.stderr
+    assert done.stderr.startswith("guard: ")
+    assert "Traceback" not in done.stderr
+
+
+def test_exact_dim_edges_at_the_guard_still_runs(tmp_path, capsys):
+    edges = tmp_path / "chain.txt"
+    edges.write_text("".join(f"v{i} < v{i + 1}\n" for i in range(24)))
+    assert main(["exact-dim", "--edges", str(edges)]) == 0
+    assert "dimension = 1" in capsys.readouterr().out
+    assert main(["exact-dim", "--edges", str(edges), "--max-size", "24"]) == 3
+
+
+def test_exact_dim_with_a_raised_guard_does_not_warn():
+    # the CLI checks --max-size itself; a warning against the default
+    # guard of 25, with a source path, is noise on stderr
+    done = _divdim(
+        "exact-dim", "--divisibility", "1000", "--primes", "2,3", "--max-size", "400", timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+
+
+def test_exact_dim_sieves_only_to_the_largest_given_prime(monkeypatch, capsys):
+    limits = []
+
+    def sieve(limit):
+        limits.append(limit)
+        return sieve_primes(limit)
+
+    monkeypatch.setattr(cli, "sieve_primes", sieve)
+    assert main(["exact-dim", "--divisibility", str(10**8), "--primes", "2,3"]) == 3
+    assert main(["exact-dim", "--divisibility", "30", "--primes", "2,3,5", "--json"]) == 0
+    assert main(["exact-dim", "--divisibility", "30", "--primes", "2,31"]) == 2
+    assert main(["exact-dim", "--divisibility", "8"]) == 0
+    assert limits == [3, 5, 30, 8]
+
+
+@pytest.mark.parametrize(
+    "primes,message",
+    [
+        ("2,13", "error: 13 outside table limit 10"),
+        ("2,9", "error: 9 is not prime"),
+        ("1", "error: 1 is not prime"),
+        ("0", "error: 0 is not prime"),
+    ],
+)
+def test_exact_dim_bad_prime_is_a_usage_error(capsys, primes, message):
+    assert main(["exact-dim", "--divisibility", "10", "--primes", primes]) == 2
+    assert capsys.readouterr().err.strip() == message
 
 
 def test_exact_dim_repeated_prime_is_dropped(capsys):
@@ -236,6 +295,7 @@ def _divdim(*args, timeout):
     [
         (60, "chains", "primes", 1),
         (60, "random-suitable", "ranks", 10**12),
+        (60, "random-suitable", "ranks", 2**70),
         (1000, "cover-free", "sigma_ranks", 10**11),
     ],
 )

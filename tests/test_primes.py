@@ -8,6 +8,7 @@ from divdim.base import DomainError, ResourceLimitError
 from divdim.primes import (
     DEFAULT_SIEVE_BUDGET,
     factorize,
+    factorize_many,
     is_prime,
     prime_power_base,
     sieve_primes,
@@ -88,6 +89,35 @@ def test_factorize_rejects_zero():
         factorize(0)
     with pytest.raises(DomainError):
         squarefree_part(0)
+
+
+def _items(factorisations):
+    # dict order too: the primes come ascending, as factorize gives them
+    return [list(f.items()) for f in factorisations]
+
+
+def test_factorize_many_matches_factorize_on_a_range():
+    values = range(1, 20_001)
+    assert _items(factorize_many(values)) == _items(map(factorize, values))
+
+
+@given(st.lists(st.integers(min_value=1, max_value=10**10), max_size=60))
+@settings(max_examples=50, deadline=None)
+def test_factorize_many_matches_factorize(values):
+    assert _items(factorize_many(values)) == _items(map(factorize, values))
+
+
+def test_factorize_many_edge_cases():
+    import numpy as np
+
+    assert list(factorize_many([])) == []
+    assert list(factorize_many([1, 1])) == [{}, {}]
+    # a prime square, a prime above every trial divisor, a uint64 input
+    assert list(factorize_many(np.array([49, 999_983, 2**20], dtype=np.uint64))) == [
+        {7: 2}, {999_983: 1}, {2: 20}
+    ]
+    with pytest.raises(DomainError):
+        list(factorize_many([3, 0]))
 
 
 def test_squarefree_part_examples():
