@@ -342,15 +342,15 @@ def draw_interval_perms(
     """Re-derivable draw of ``count`` uniform rank rows for one retry.
 
     Row j is a Fisher-Yates shuffle of range(len(primes)) consuming the
-    stream's outputs j*(L-1) .. (j+1)*(L-1)-1.  Those outputs come from
-    one block; should any be rejected by ``randbelow`` (probability about
-    L/2**64 each), or should the draw be small, the scalar shuffle draws
-    the rows instead.
+    stream's outputs j*(L-1) .. (j+1)*(L-1)-1, as ``SplitMix64.shuffle``
+    would.  Those outputs come from one block; should any be rejected by
+    ``randbelow`` (probability about L/2**64 each), or should the draw be
+    small, the swaps are drawn one ``randbelow`` at a time instead.
     """
     length = len(primes)
     positions = list(range(length))
     start = child_seed(seed, retry_index)
-    rows = []
+    swaps = None
     if count * (length - 1) >= NUMPY_MIN_WORK:
         import numpy as np
 
@@ -358,16 +358,15 @@ def draw_interval_perms(
         values = SplitMix64(start).next_block(count * (length - 1))
         values = values.reshape(count, length - 1)
         if not _block_rejects(values, bounds):
-            for outputs in values:
-                order = positions[:]
-                for i, j in zip(range(length - 1, 0, -1), (outputs % bounds).tolist()):
-                    order[i], order[j] = order[j], order[i]
-                rows.append(_inverse(order, positions))
-            return rows
-    rng = SplitMix64(start)
-    for _ in range(count):
+            swaps = ((outputs % bounds).tolist() for outputs in values)
+    if swaps is None:
+        rng = SplitMix64(start)
+        swaps = ([rng.randbelow(b) for b in range(length, 1, -1)] for _ in range(count))
+    rows = []
+    for row_swaps in swaps:
         order = positions[:]
-        rng.shuffle(order)
+        for i, j in zip(range(length - 1, 0, -1), row_swaps):
+            order[i], order[j] = order[j], order[i]
         rows.append(_inverse(order, positions))
     return rows
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, fields
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
 
+from . import divposets
 from .base import DomainError, O1_DROPPED_NOTE, ResourceLimitError, RetryBudgetError
 from .coverfree import SetFamily, build_field, eff_family
 from .divposets import (
@@ -29,7 +30,7 @@ from .divposets import (
     random_suitable_interval,
     suitable_draw_size,
 )
-from .primes import PrimeTable, factorize, factorize_many, prime_power_base, sieve_primes
+from .primes import PrimeTable, factorize_many, prime_power_base, sieve_primes
 from .rng import MASK64, SplitMix64, child_seed
 
 SCHEMA_VERSION = 1
@@ -226,14 +227,15 @@ class CoverFreeZoneCert:
         For each ground permutation sigma, primes are ordered by the
         colex key of their assigned member set (each element with
         exponent 1); that family of orderings is suitable for the zone's
-        squarefree supports.
+        squarefree supports.  The build checks these rows and both
+        verifiers evaluate them.  A zone below ``divposets.NUMPY_MIN_WORK``
+        colex codes (rows × summed member sizes) is ranked in Python by
+        ``_colex_ranks``, a larger one by ``_colex_places``: the same rows.
         """
-        members = self.members()
-        return [_colex_ranks(sigma, members) for sigma in self.sigma_ranks]
-
-    def members(self) -> list[tuple[tuple[int, int], ...]]:
-        """Each prime's member set, as (ground element, exponent 1) pairs."""
-        return [tuple((e, 1) for e in self.family[i]) for i in self.phi]
+        members = [tuple((e, 1) for e in self.family[i]) for i in self.phi]
+        if len(self.sigma_ranks) * sum(map(len, members)) < divposets.NUMPY_MIN_WORK:
+            return [_colex_ranks(sigma, members) for sigma in self.sigma_ranks]
+        return [place.tolist() for place in _colex_places(self.sigma_ranks, members)]
 
 
 _ZONE_TYPES = {z.kind: z for z in (ChainZoneCert, SuitableZoneCert, CoverFreeZoneCert)}
@@ -306,16 +308,10 @@ class RealiserCertificate:
     schema_version: int = SCHEMA_VERSION
 
     def to_json_dict(self) -> dict:
-        return {
-            "format": CERTIFICATE_FORMAT,
-            "schema_version": self.schema_version,
-            "n": self.n,
-            "eps": self.eps,
-            "seed": self.seed,
-            "max_exponent": self.max_exponent,
-            "dimension": self.dimension,
-            "zones": [_zone_json(z) for z in self.zones],
-        }
+        """The format tag and every field, as ``from_json_dict`` reads them."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out.update(format=CERTIFICATE_FORMAT, zones=[_zone_json(z) for z in self.zones])
+        return out
 
     def dumps(self) -> str:
         """Canonical compact JSON: sorted keys, no whitespace, one final newline."""
@@ -607,43 +603,55 @@ def certificate_zones(cert: RealiserCertificate) -> list[_Zone]:
     """The certificate's zones, each a colex order per row on its primes.
 
     A chain contributes one one-prime zone per prime, with the single
-    row (0,).  A cover-free zone's rows are its ``tau_rank_rows``, which
-    ``_colex_places`` gives for all ground permutations at once.
+    row (0,).  A cover-free zone's rows are its ``tau_rank_rows``, the
+    rows the build checked.
     """
     zones: list[_Zone] = []
     for zone in cert.zones:
         if zone.kind == "chains":
             zones.extend(({p: 0}, [(0,)]) for p in zone.primes)
             continue
-        index = {p: i for i, p in enumerate(zone.primes)}
-        if zone.kind == "random-suitable":
-            rows = zone.ranks
-        else:
-            rows = list(_colex_places(zone.sigma_ranks, zone.members()))
-        zones.append((index, rows))
+        rows = zone.ranks if zone.kind == "random-suitable" else zone.tau_rank_rows()
+        zones.append(({p: i for i, p in enumerate(zone.primes)}, rows))
     return zones
 
 
-def _zone_owns(zones: list[_Zone]) -> Callable[..., dict[int, tuple]]:
-    """A map from m to {zone number: own}, for the zones m meets.
+def _zone_owns(zones: list[_Zone]) -> Callable[[dict[int, int]], dict[int, tuple]]:
+    """A map from m's factorisation to {zone number: own}, for the zones m meets.
 
-    ``own`` is m's (column, exponent) pairs on the zone's primes, from
-    ``factorize`` or from m's factorisation when the caller has it.  A
-    zone m does not meet is absent: its own is ().
+    ``own`` is m's (column, exponent) pairs on the zone's primes.  A zone
+    m does not meet is absent: its own is ().
     """
     homes: dict[int, tuple[int, ...]] = {}
     for zi, (index, _) in enumerate(zones):
         for p in index:
             homes[p] = homes.get(p, ()) + (zi,)
 
-    def owns(m: int, factors: dict[int, int] | None = None) -> dict[int, tuple]:
+    def owns(factors: dict[int, int]) -> dict[int, tuple]:
         found: dict[int, tuple] = {}
-        for p, e in (factorize(m) if factors is None else factors).items():
+        for p, e in factors.items():
             for zi in homes.get(p, ()):
                 found[zi] = found.get(zi, ()) + ((zones[zi][0][p], e),)
         return found
 
     return owns
+
+
+def _zone_parts(zones: list[_Zone], owns_of: Callable, numbers):
+    """Each zone's distinct parts among ``numbers``, () first, and their indices.
+
+    The [zone, k] entry of the int32 array is the index of numbers[k]'s
+    part there.  The numbers are factorised together by
+    ``factorize_many``; ``owns_of`` is ``_zone_owns(zones)``.
+    """
+    import numpy as np
+
+    parts: list[dict[tuple, int]] = [{(): 0} for _ in zones]
+    group = np.zeros((len(zones), len(numbers)), dtype=np.int32)
+    for k, found in enumerate(map(owns_of, factorize_many(numbers))):
+        for zi, own in found.items():
+            group[zi, k] = parts[zi].setdefault(own, len(parts[zi]))
+    return [list(zone_parts) for zone_parts in parts], group
 
 
 # ---------------------------------------------------------------------------
@@ -747,15 +755,11 @@ def _verify_exhaustive(
 
     n = cert.n
     zones = certificate_zones(cert)
-    owns_by_m = list(map(_zone_owns(zones), range(1, n + 1)))
+    parts, groups = _zone_parts(zones, _zone_owns(zones), np.arange(1, n + 1))
     up = np.full((n, (n + 7) // 8), 0xFF, dtype=np.uint8)  # [a-1] packs {b : a <= b}
-    for zi, (_, rows) in enumerate(zones):
-        distinct: dict[tuple, int] = {}
-        group = np.array(
-            [distinct.setdefault(own.get(zi, ()), len(distinct)) for own in owns_by_m]
-        )
-        below = np.ones((len(distinct), len(distinct)), dtype=bool)
-        for place in _colex_places(rows, list(distinct)):
+    for (_, rows), zone_parts, group in zip(zones, parts, groups):
+        below = np.ones((len(zone_parts), len(zone_parts)), dtype=bool)
+        for place in _colex_places(rows, zone_parts):
             below &= place[:, None] <= place[None, :]
         up &= np.packbits(below[:, group], axis=1)[group]
     divides = np.zeros((n, n), dtype=bool)
@@ -813,30 +817,24 @@ def _sample_pairs(n: int, count: int, seed: int) -> Iterator:
 def _below_everywhere(zones: list[_Zone], owns_of: Callable, a, b):
     """For each pair, whether a lies at or below b in every coordinate.
 
-    Each distinct number's owns come from ``owns_of``, once, with the
-    numbers factorised together by ``factorize_many``.  A zone's
-    coordinates read only the owns, and every row ranks equal owns
-    equally, so a zone checks only the pairs whose owns differ there and
-    that no earlier row has ruled out, one row at a time.
+    The batch's distinct numbers go through ``_zone_parts`` once each.  A
+    zone's coordinates read only the parts, and every row ranks equal
+    parts equally, so a zone checks only the pairs whose parts differ
+    there and that no earlier row has ruled out, one row at a time.
     """
     import numpy as np
 
     numbers, index = np.unique(np.concatenate([a, b]), return_inverse=True)
     ia, ib = index[: len(a)], index[len(a) :]
-    # per zone, each number's own as a place in that zone's dict; () is 0
-    distinct: list[dict[tuple, int]] = [{(): 0} for _ in zones]
-    group = np.zeros((len(zones), len(numbers)), dtype=np.int32)
-    for k, found in enumerate(map(owns_of, numbers.tolist(), factorize_many(numbers))):
-        for zi, own in found.items():
-            group[zi, k] = distinct[zi].setdefault(own, len(distinct[zi]))
+    parts, groups = _zone_parts(zones, owns_of, numbers)
     below = np.ones(len(a), dtype=bool)
-    for (_, rows), parts, g in zip(zones, distinct, group):
+    for (_, rows), zone_parts, g in zip(zones, parts, groups):
         ga, gb = g[ia], g[ib]
         live = np.flatnonzero(below & (ga != gb))
         if not len(live):
             continue
         below[live] = False
-        for place in _colex_places(rows, list(parts)):
+        for place in _colex_places(rows, zone_parts):
             live = live[place[ga[live]] <= place[gb[live]]]
         below[live] = True
     return below
@@ -884,14 +882,15 @@ def verify_certificate(
     recorded data is reported even when redundant coordinates would mask
     it functionally.  The functional phase then checks m | m' iff
     coordinatewise <= on all ordered pairs or on N sampled pairs.  Both
-    modes compare numbers zone by zone, through each distinct zone
+    modes take a cover-free zone's rows from ``tau_rank_rows`` and the
+    numbers' zone parts from ``_zone_parts``, and compare each distinct
     part's place among the distinct colex keys under each row
-    (``_colex_places``).  The exhaustive scan (n <= 2000) builds the
-    relation as packed bitsets: n²/8 bytes for the up-sets plus the
-    n × n booleans of divisibility.  Sampled mode draws and checks
-    SAMPLE_BATCH pairs at a time, so beyond the certificate and its rank
-    rows as one array per zone its memory does not grow with N; it stops
-    at the batch that holds the 20th failure.
+    (``_colex_places``).  The exhaustive scan
+    (n <= 2000) builds the relation as packed bitsets: n²/8 bytes for
+    the up-sets plus the n × n booleans of divisibility.  Sampled mode
+    draws and checks SAMPLE_BATCH pairs at a time, so beyond the
+    certificate and its rank rows as one array per zone its memory does
+    not grow with N; it stops at the batch that holds the 20th failure.
     """
     start = time.perf_counter()
     if mode not in ("exhaustive", "sampled"):

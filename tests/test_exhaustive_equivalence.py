@@ -23,13 +23,13 @@ from divdim.pipeline import (
     certificate_zones,
     plan,
 )
-from divdim.primes import sieve_primes
+from divdim.primes import factorize, sieve_primes
 
 
 def dense_scan(cert, report_notes):
     n = cert.n
     zones = certificate_zones(cert)
-    owns_by_m = list(map(_zone_owns(zones), range(1, n + 1)))
+    owns_by_m = list(map(_zone_owns(zones), map(factorize, range(1, n + 1))))
     values = np.empty((n, sum(len(rows) for _, rows in zones)), dtype=np.int32)
     column = 0
     for zi, (_, rows) in enumerate(zones):

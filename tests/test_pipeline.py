@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -122,6 +123,12 @@ def test_json_round_trip():
     cert, _ = cert_for(150)
     again = RealiserCertificate.loads(cert.dumps())
     assert again == cert
+
+
+def test_record_keys_are_the_format_and_the_fields():
+    cert, _ = cert_for(150)
+    names = {f.name for f in dataclasses.fields(RealiserCertificate)}
+    assert cert.to_json_dict().keys() == {"format"} | names
 
 
 def test_malformed_certificate_rejected():

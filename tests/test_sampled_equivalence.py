@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divdim import pipeline
+from divdim import divposets, pipeline
 from divdim.pipeline import (
     RealiserCertificate,
     _colex_key,
@@ -29,7 +29,7 @@ from divdim.pipeline import (
     plan,
     verify_certificate,
 )
-from divdim.primes import sieve_primes
+from divdim.primes import factorize, sieve_primes
 from divdim.rng import SplitMix64
 
 
@@ -60,7 +60,7 @@ def scalar_sampled(cert, samples, sample_seed):
         if a == b:
             continue
         checked += 1
-        oa, ob = owns(a), owns(b)
+        oa, ob = owns(factorize(a)), owns(factorize(b))
         met = [zi for zi in sorted(oa.keys() | ob.keys()) if oa.get(zi) != ob.get(zi)]
         below = (
             _colex_key(row, oa.get(zi, ())) <= _colex_key(row, ob.get(zi, ()))
@@ -155,6 +155,48 @@ def test_cover_free_rows_are_the_tau_rank_rows(n, brk):
     assert got == want
 
 
+def cover_free_zones(n, brk):
+    zones = [zone for zone in certificate(n, 0, brk).zones if zone.kind == "cover-free"]
+    assert zones
+    return zones
+
+
+@pytest.mark.parametrize("brk", ["intact", "three-sigma-rows", *SIGMA_BREAKS])
+@pytest.mark.parametrize("n", [10**3, 10**4, 10**5])
+def test_tau_rows_agree_across_the_ranker_cut(monkeypatch, n, brk):
+    for zone in cover_free_zones(n, brk):
+        sides = []
+        for limit in (1, 1 << 62):  # every zone ranked by numpy, then by Python
+            monkeypatch.setattr(divposets, "NUMPY_MIN_WORK", limit)
+            sides.append(zone.tau_rank_rows())
+        numpy_rows, python_rows = sides
+        assert numpy_rows == python_rows
+        assert all(type(row) is list and set(map(type, row)) == {int} for row in numpy_rows)
+
+
+@pytest.mark.parametrize(
+    "n, primes, ranker", [(10**5, 47, "_colex_places"), (2000, 9, "_colex_ranks")]
+)
+def test_the_ranker_cut_sends_large_zones_to_numpy(monkeypatch, n, primes, ranker):
+    # the n = 2000 build ranks in Python, so it can run without numpy
+    (zone,) = [z for z in cover_free_zones(n, "intact") if len(z.primes) == primes]
+    called = []
+
+    def spy(name):
+        real = getattr(pipeline, name)
+
+        def counted(*args):
+            called.append(name)
+            return real(*args)
+
+        return counted
+
+    for name in ("_colex_places", "_colex_ranks"):
+        monkeypatch.setattr(pipeline, name, spy(name))
+    zone.tau_rank_rows()
+    assert set(called) == {ranker}
+
+
 def batched(cert, samples, sample_seed):
     report = verify_certificate(cert, mode="sampled", samples=samples, sample_seed=sample_seed)
     return report.pairs_checked, list(report.pair_failures)
@@ -224,7 +266,7 @@ def test_sample_pairs_follow_the_scalar_stream(monkeypatch, n, batch):
 
 
 def _distinct_owns(zones, n):
-    owns_by_m = list(map(_zone_owns(zones), range(1, n + 1)))
+    owns_by_m = list(map(_zone_owns(zones), map(factorize, range(1, n + 1))))
     for zi in range(len(zones)):
         yield zi, list(dict.fromkeys(own.get(zi, ()) for own in owns_by_m))
 
