@@ -293,7 +293,7 @@ def verify_cover_free(
                     union |= masks[j]
             if masks[i] & ~union == 0:
                 return Verdict(False, (i, tuple(chosen)), note="sampled")
-        return Verdict(True, note=f"no counterexample found in {samples} samples")
+        return Verdict(True, note=f"sampled: no counterexample found in {samples} samples")
     raise DomainError(f"unknown mode {mode!r}")
 
 

@@ -9,7 +9,6 @@ these objects realiser seeds.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -233,6 +232,49 @@ def _exclusion_clique(bits: list[int], coversets: dict[int, int]) -> int:
     return best
 
 
+def _coversets(masks: list[int], universe: int) -> dict[int, int]:
+    """For each constraint bit, the bitmask over mask indices of its covers.
+
+    One transpose instead of one big-int OR per (mask, bit): the masks are
+    packed byte by byte, each byte column is a strided slice of the packing,
+    and each bit of that column becomes a string of '0'/'1' read by int().
+    """
+    width = (universe.bit_length() + 7) // 8
+    packed = bytearray()
+    for mk in reversed(masks):  # mask 0 last, so it lands on bit 0
+        packed += (mk & universe).to_bytes(width, "little")
+    digits = [bytes(48 + (v >> t & 1) for v in range(256)) for t in range(8)]
+    return {
+        b: int(packed[b >> 3 :: width].translate(digits[b & 7]) or b"0", 2)
+        for b in _bits_of(universe)
+    }
+
+
+def _undominated(rows: list[int]) -> list[int]:
+    """Rows kept in order, dropping each row inside an earlier kept row.
+
+    ``holders[b]`` has bit j set when kept row j contains bit b, so a row
+    is dominated exactly when the AND of its bits' holders is nonzero; the
+    empty row is dominated by any kept row.
+    """
+    kept: list[int] = []
+    holders: dict[int, int] = {}
+    for m in rows:
+        bits = _bits_of(m)
+        common = -1 if bits else len(kept)
+        for b in bits:
+            common &= holders.get(b, 0)
+            if not common:
+                break
+        if common:
+            continue
+        flag = 1 << len(kept)
+        for b in bits:
+            holders[b] = holders.get(b, 0) | flag
+        kept.append(m)
+    return kept
+
+
 def _set_cover_exact(masks: list[int], universe: int) -> list[int]:
     """Minimum subcollection of masks covering universe.
 
@@ -244,10 +286,7 @@ def _set_cover_exact(masks: list[int], universe: int) -> list[int]:
     bits = _bits_of(universe)
     # coversets: for each constraint, the set of masks covering it, as a
     # bitmask over mask indices
-    coversets: dict[int, int] = {b: 0 for b in bits}
-    for i, mk in enumerate(masks):
-        for b in _bits_of(mk & universe):
-            coversets[b] |= 1 << i
+    coversets = _coversets(masks, universe)
     if any(coversets[b] == 0 for b in bits):
         raise DomainError("no mask covers some constraint")  # unreachable here
     # column reduction: drop b when some other constraint is covered only
@@ -269,11 +308,7 @@ def _set_cover_exact(masks: list[int], universe: int) -> list[int]:
     reduced: dict[int, int] = {}
     for i, mk in enumerate(masks):
         reduced.setdefault(mk & need, i)
-    rows = sorted(reduced, key=lambda m: -m.bit_count())
-    kept_rows: list[int] = []
-    for m in rows:
-        if not any(m | other == other for other in kept_rows):
-            kept_rows.append(m)
+    kept_rows = _undominated(sorted(reduced, key=lambda m: -m.bit_count()))
 
     uncovered, greedy = need, []
     while uncovered:
@@ -310,6 +345,48 @@ def _set_cover_exact(masks: list[int], universe: int) -> list[int]:
     return [reduced[m & need] for m in best]
 
 
+def _coverage(
+    constraints: list[tuple[frozenset, object]], active: tuple
+) -> dict[int, tuple[int, ...]]:
+    """Each distinct coverage mask, mapped to the first order giving it.
+
+    An order of the active indices covers constraint bit i, (A, x), when x
+    comes after all of A.  Orders are visited depth first over prefixes,
+    in ascending index order, so they come out in the order
+    ``itertools.permutations(range(k))`` lists them.  Placing e after the
+    elements of ``placed`` covers ``gain[placed][e]``: the bits of (A, e)
+    over the members A inside ``placed``; so each order's mask is the OR
+    of its k gains, and orders sharing a prefix share that work.
+    """
+    k = len(active)
+    pos = {x: i for i, x in enumerate(active)}
+    rows: dict[int, list[int]] = {}
+    for bit, (a, x) in enumerate(constraints):
+        inside = sum(1 << pos[y] for y in a)
+        rows.setdefault(inside, [0] * k)[pos[x]] |= 1 << bit
+    gain = []
+    for placed in range(1 << k):
+        out = [0] * k
+        for inside, row in rows.items():
+            if inside & placed == inside:
+                out = [g | r for g, r in zip(out, row)]
+        gain.append(out)
+
+    coverage: dict[int, tuple[int, ...]] = {}
+    done = (1 << k) - 1
+    stack = [(0, 0, ())]
+    while stack:
+        placed, mask, order = stack.pop()
+        if placed == done:
+            coverage.setdefault(mask, order)
+            continue
+        row = gain[placed]
+        for e in range(k - 1, -1, -1):  # pushed high to low, popped low to high
+            if not placed >> e & 1:
+                stack.append((placed | 1 << e, mask | row[e], order + (e,)))
+    return coverage
+
+
 def min_suitable(family, ground=None) -> tuple[int, SuitableSet]:
     """Exact minimum suitable set for a family of subsets of the ground.
 
@@ -339,42 +416,9 @@ def min_suitable(family, ground=None) -> tuple[int, SuitableSet]:
         perm = Permutation(ground, active + inactive)
         return 1, SuitableSet((perm,), sets)
 
-    k = len(active)
-    pos = {x: i for i, x in enumerate(active)}
-    groups: dict[frozenset, list[tuple[int, int]]] = {}
-    for bit, (a, x) in enumerate(constraints):
-        groups.setdefault(a, []).append((pos[x], bit))
-    universe = (1 << len(constraints)) - 1
-
-    # per member: its element indices and, per ground index, the bit it
-    # covers when ranked at or above the member's top element
-    member_indices = []
-    member_bits = []
-    for a, targets in groups.items():
-        member_indices.append(tuple(pos[y] for y in a))
-        row = [0] * k
-        for xi, bit in targets:
-            row[xi] = 1 << bit
-        member_bits.append(row)
-
-    coverage: dict[int, tuple[int, ...]] = {}
-    for order in itertools.permutations(range(k)):
-        rank = [0] * k
-        for position, e in enumerate(order):
-            rank[e] = position
-        mask = 0
-        for indices, row in zip(member_indices, member_bits):
-            top = 0
-            for e in indices:
-                r = rank[e]
-                if r > top:
-                    top = r
-            for position in range(top, k):
-                mask |= row[order[position]]
-        coverage.setdefault(mask, order)
-
+    coverage = _coverage(constraints, active)
     masks = list(coverage)
-    chosen = _set_cover_exact(masks, universe)
+    chosen = _set_cover_exact(masks, (1 << len(constraints)) - 1)
 
     perms = []
     for i in chosen:

@@ -164,6 +164,18 @@ def test_coverfree_sampled(tmp_path, capsys):
     assert "samples" in capsys.readouterr().out
 
 
+def test_coverfree_sampled_verdict_says_it_was_sampled(tmp_path, capsys):
+    fam = tmp_path / "fam.json"
+    main(["coverfree", "build", "--q", "4", "--h", "1", "--json", str(fam)])
+    capsys.readouterr()
+    assert main(
+        ["coverfree", "verify", "--family", str(fam), "--r", "3", "--sampled", "300"]
+    ) == 0
+    assert capsys.readouterr().out == (
+        "3-cover-free (sampled: no counterexample found in 300 samples)\n"
+    )
+
+
 def test_coverfree_non_prime_power(capsys):
     assert main(["coverfree", "build", "--q", "6", "--h", "1"]) == 2
 

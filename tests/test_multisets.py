@@ -1,10 +1,18 @@
+import hashlib
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import divdim
+from divdim import multisets
 from divdim.base import DomainError, PreconditionError, ResourceLimitError
+from divdim.divposets import squarefree_support_sets
 from divdim.multisets import (
     DownsetFamily,
     Multiset,
@@ -18,6 +26,7 @@ from divdim.multisets import (
     verify_suitable,
 )
 from divdim.posets import exact_dimension, is_realiser, product_order, verify_embedding
+from divdim.primes import sieve_primes
 
 G12 = (1, 2)
 G235 = (2, 3, 5)
@@ -352,3 +361,174 @@ def test_min_suitable_matches_naive_subset_search(raw):
     got, witness = min_suitable(sets, ground)
     assert got == _naive_min_suitable(sets, ground)
     assert verify_suitable(witness.perms, sets, ground)
+
+
+# --- min_suitable against the permutation loop and quadratic filter --------
+
+
+def rank_loop_coverage(constraints, active):
+    """Coverage by ranking every itertools.permutations order in turn."""
+    k = len(active)
+    pos = {x: i for i, x in enumerate(active)}
+    groups = {}
+    for bit, (a, x) in enumerate(constraints):
+        groups.setdefault(a, []).append((pos[x], bit))
+    member_indices = []
+    member_bits = []
+    for a, targets in groups.items():
+        member_indices.append(tuple(pos[y] for y in a))
+        row = [0] * k
+        for xi, bit in targets:
+            row[xi] = 1 << bit
+        member_bits.append(row)
+    coverage = {}
+    for order in itertools.permutations(range(k)):
+        rank = [0] * k
+        for position, e in enumerate(order):
+            rank[e] = position
+        mask = 0
+        for indices, row in zip(member_indices, member_bits):
+            top = 0
+            for e in indices:
+                r = rank[e]
+                if r > top:
+                    top = r
+            for position in range(top, k):
+                mask |= row[order[position]]
+        coverage.setdefault(mask, order)
+    return coverage
+
+
+def quadratic_undominated(rows):
+    """Keep a row unless it lies inside a row kept before it."""
+    kept = []
+    for m in rows:
+        if not any(m | other == other for other in kept):
+            kept.append(m)
+    return kept
+
+
+def per_bit_coversets(masks, universe):
+    coversets = {b: 0 for b in multisets._bits_of(universe)}
+    for i, mk in enumerate(masks):
+        for b in multisets._bits_of(mk & universe):
+            coversets[b] |= 1 << i
+    return coversets
+
+
+def reference_min_suitable(sets, ground):
+    """min_suitable with its coverage, coversets and kept rows computed
+    the slow, direct way."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multisets, "_coverage", rank_loop_coverage)
+        mp.setattr(multisets, "_coversets", per_bit_coversets)
+        mp.setattr(multisets, "_undominated", quadratic_undominated)
+        return min_suitable(sets, ground)
+
+
+def orders(solution):
+    return [p.order for p in solution.perms]
+
+
+def divisibility_case(n):
+    primes = sieve_primes(max(n, 2)).primes_in(0, n)
+    return squarefree_support_sets(primes, n), primes
+
+
+@st.composite
+def set_families(draw):
+    ground = tuple(range(draw(st.integers(min_value=1, max_value=6))))
+    sets = draw(st.lists(st.frozensets(st.sampled_from(ground)), max_size=10))
+    return sets, ground
+
+
+@given(set_families())
+@settings(max_examples=80, deadline=None)
+def test_coverage_and_result_match_the_permutation_loop(case):
+    sets, ground = case
+    calls = []
+    real = multisets._coverage
+
+    def recorded(constraints, active):
+        calls.append((constraints, active, real(constraints, active)))
+        return calls[-1][2]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multisets, "_coverage", recorded)
+        got, solution = min_suitable(sets, ground)
+    for constraints, active, coverage in calls:
+        # same masks, same first orders, same insertion order
+        assert list(coverage.items()) == list(rank_loop_coverage(constraints, active).items())
+    want, reference = reference_min_suitable(sets, ground)
+    assert got == want
+    assert orders(solution) == orders(reference)
+
+
+@given(st.lists(st.integers(min_value=0, max_value=(1 << 10) - 1), max_size=40))
+@example([0])
+@example([0, 0])
+@example([0, 5, 1])
+@example([6, 0, 3, 0])
+@settings(max_examples=200, deadline=None)
+def test_kept_rows_match_the_quadratic_filter(rows):
+    assert multisets._undominated(rows) == quadratic_undominated(rows)
+    ranked = sorted(dict.fromkeys(rows), key=lambda m: -m.bit_count())
+    assert multisets._undominated(ranked) == quadratic_undominated(ranked)
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=(1 << 40) - 1), max_size=30),
+    st.integers(min_value=0, max_value=(1 << 40) - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_coversets_match_the_per_bit_loop(masks, universe):
+    assert multisets._coversets(masks, universe) == per_bit_coversets(masks, universe)
+
+
+@pytest.mark.parametrize("n", range(2, 19))
+def test_divisibility_minimum_matches_the_permutation_loop(n):
+    sets, primes = divisibility_case(n)
+    got, solution = min_suitable(sets, primes)
+    want, reference = reference_min_suitable(sets, primes)
+    assert got == want
+    assert orders(solution) == orders(reference)
+
+
+@pytest.mark.parametrize(
+    "n, digest",
+    [
+        (19, "cdc5c699dc697baf571ef0a17748c12581c9cecf239e93b400baec7aab552c7c"),
+        (20, "cdc5c699dc697baf571ef0a17748c12581c9cecf239e93b400baec7aab552c7c"),
+    ],
+)
+def test_divisibility_orders_at_the_guard_are_pinned(n, digest):
+    # the permutation loop took about 8 s here; the digest is of its orders
+    sets, primes = divisibility_case(n)
+    got, solution = min_suitable(sets, primes)
+    text = "\n".join(" ".join(map(str, order)) for order in orders(solution))
+    assert got == 3
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_oracles_run_without_numpy():
+    # importing numpy alone adds about 14 MB of resident memory, more than
+    # half the peak of the oracles benchmark workload
+    script = (
+        "import sys\n"
+        "from divdim import coverfree, divposets, multisets, primes\n"
+        "ps = primes.sieve_primes(18).primes_in(0, 18)\n"
+        "sets = divposets.squarefree_support_sets(ps, 18)\n"
+        "assert multisets.min_suitable(sets, ps)[0] == 3\n"
+        "family = coverfree.eff_family(coverfree.build_field(3, 2), 2)\n"
+        "assert coverfree.verify_cover_free(family, 4, mode='sampled', samples=500, seed=1)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    src = str(Path(divdim.__file__).parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.splitlines()[-1] == "False"

@@ -33,23 +33,11 @@ from divdim.primes import factorize, sieve_primes
 from divdim.rng import SplitMix64
 
 
-def reference_zones(cert):
-    """``certificate_zones`` with each cover-free zone's ``tau_rank_rows``."""
-    zones = []
-    for zone in cert.zones:
-        if zone.kind == "chains":
-            zones.extend(({p: 0}, [(0,)]) for p in zone.primes)
-            continue
-        rows = zone.ranks if zone.kind == "random-suitable" else zone.tau_rank_rows()
-        zones.append(({p: i for i, p in enumerate(zone.primes)}, rows))
-    return zones
-
-
 def scalar_sampled(cert, samples, sample_seed):
     n = cert.n
     if n < 2:
         return 0, []
-    zones = reference_zones(cert)
+    zones = certificate_zones(cert)
     owns = _zone_owns(zones)
     rng = SplitMix64(sample_seed)
     failures = []
@@ -149,14 +137,26 @@ def certificate(n, seed, brk):
 @pytest.mark.parametrize("brk", ["intact", "three-sigma-rows", *SIGMA_BREAKS])
 @pytest.mark.parametrize("n", [1000, 10**4])
 def test_cover_free_rows_are_the_tau_rank_rows(n, brk):
+    """Each zone's prime indices, each chain prime's row (0,), and each
+    random-suitable zone's recorded ranks, as ``certificate_zones`` gives
+    them; the cover-free rows are checked across the ranker cut below."""
     cert = certificate(n, 0, brk)
-    got = [(index, [list(row) for row in rows]) for index, rows in certificate_zones(cert)]
-    want = [(index, [list(row) for row in rows]) for index, rows in reference_zones(cert)]
-    assert got == want
+    zones = iter(certificate_zones(cert))
+    for zone in cert.zones:
+        if zone.kind == "chains":
+            for p in zone.primes:
+                assert next(zones) == ({p: 0}, [(0,)])
+            continue
+        index, rows = next(zones)
+        assert index == {p: i for i, p in enumerate(zone.primes)}
+        if zone.kind == "random-suitable":
+            assert rows == zone.ranks
+    assert next(zones, None) is None
+    assert {zone.kind for zone in cert.zones} == {"chains", "random-suitable", "cover-free"}
 
 
-def cover_free_zones(n, brk):
-    zones = [zone for zone in certificate(n, 0, brk).zones if zone.kind == "cover-free"]
+def cover_free_zones(cert):
+    zones = [zone for zone in cert.zones if zone.kind == "cover-free"]
     assert zones
     return zones
 
@@ -164,7 +164,10 @@ def cover_free_zones(n, brk):
 @pytest.mark.parametrize("brk", ["intact", "three-sigma-rows", *SIGMA_BREAKS])
 @pytest.mark.parametrize("n", [10**3, 10**4, 10**5])
 def test_tau_rows_agree_across_the_ranker_cut(monkeypatch, n, brk):
-    for zone in cover_free_zones(n, brk):
+    cert = certificate(n, 0, brk)
+    # the rows both verifiers evaluate, keyed by the zone's primes
+    evaluated = {tuple(index): rows for index, rows in certificate_zones(cert)}
+    for zone in cover_free_zones(cert):
         sides = []
         for limit in (1, 1 << 62):  # every zone ranked by numpy, then by Python
             monkeypatch.setattr(divposets, "NUMPY_MIN_WORK", limit)
@@ -172,6 +175,7 @@ def test_tau_rows_agree_across_the_ranker_cut(monkeypatch, n, brk):
         numpy_rows, python_rows = sides
         assert numpy_rows == python_rows
         assert all(type(row) is list and set(map(type, row)) == {int} for row in numpy_rows)
+        assert evaluated[tuple(zone.primes)] == numpy_rows
 
 
 @pytest.mark.parametrize(
@@ -179,7 +183,8 @@ def test_tau_rows_agree_across_the_ranker_cut(monkeypatch, n, brk):
 )
 def test_the_ranker_cut_sends_large_zones_to_numpy(monkeypatch, n, primes, ranker):
     # the n = 2000 build ranks in Python, so it can run without numpy
-    (zone,) = [z for z in cover_free_zones(n, "intact") if len(z.primes) == primes]
+    cert = certificate(n, 0, "intact")
+    (zone,) = [z for z in cover_free_zones(cert) if len(z.primes) == primes]
     called = []
 
     def spy(name):
