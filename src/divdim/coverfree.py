@@ -281,13 +281,13 @@ def verify_cover_free(
             return Verdict(
                 True, note=f"sampled; family of {m} members is vacuously {r}-cover-free"
             )
-        rng = SplitMix64(seed)
+        draw = SplitMix64(seed).draws_below(m).__next__
         for _ in range(samples):
-            i = rng.randbelow(m)
+            i = draw()
             chosen: list[int] = []
             union = 0
             while len(chosen) < r:
-                j = rng.randbelow(m)
+                j = draw()
                 if j != i and j not in chosen:
                     chosen.append(j)
                     union |= masks[j]

@@ -31,7 +31,7 @@ from .divposets import (
     suitable_draw_size,
 )
 from .primes import PrimeTable, factorize_many, prime_power_base, sieve_primes
-from .rng import MASK64, SplitMix64, child_seed
+from .rng import MASK64, SplitMix64, accept_limit, child_seed
 
 SCHEMA_VERSION = 1
 CERTIFICATE_FORMAT = "divdim-certificate"
@@ -794,7 +794,7 @@ def _sample_pairs(n: int, count: int, seed: int) -> Iterator:
     import numpy as np
 
     rng = SplitMix64(seed)
-    limit = (MASK64 + 1) - (MASK64 + 1) % n  # randbelow rejects outputs at or above it
+    limit = accept_limit(n)
     values = np.empty(0, dtype=np.uint64)  # accepted draws not yet used, in [1, n]
     while count:
         want = min(count, SAMPLE_BATCH)

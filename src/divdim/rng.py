@@ -10,8 +10,27 @@ be re-derived independently from one master seed.
 
 from __future__ import annotations
 
+import struct
+from typing import Iterator
+
 MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+
+# draws_below computes LANES outputs at once, lane k of one Python int
+# being bits [128k, 128k + 128).  Values stay below 2^64 between steps,
+# so a 64-bit multiply fills at most its own lane and never carries out.
+# _LANE reads each lane's low 64 bits in an explicit byte order, so the
+# stream does not depend on the host's.
+LANES = 1024
+_LANE = struct.Struct("<" + "Q8x" * LANES)
+_ONES = int.from_bytes(b"\x01".ljust(16, b"\0") * LANES, "little")  # 1 in every lane
+_LOW = _ONES * MASK64
+_STEPS = _GAMMA * int.from_bytes(_LANE.pack(*range(1, LANES + 1)), "little")  # (k+1)*gamma
+
+
+def accept_limit(bound: int) -> int:
+    """randbelow(bound) keeps a 64-bit output exactly when it is below this."""
+    return (MASK64 + 1) - (MASK64 + 1) % bound
 
 
 class SplitMix64:
@@ -51,11 +70,31 @@ class SplitMix64:
         """Uniform draw from range(bound), unbiased via rejection."""
         if bound <= 0:
             raise ValueError("bound must be positive")
-        limit = (MASK64 + 1) - (MASK64 + 1) % bound
+        limit = accept_limit(bound)
         while True:
             v = self.next_u64()
             if v < limit:
                 return v % bound
+
+    def draws_below(self, bound: int) -> Iterator[int]:
+        """Iterator of the values that repeated ``randbelow(bound)`` calls return.
+
+        Each block computes the next LANES outputs in one Python int, lane k
+        starting from state + (k+1)*gamma, and then advances ``state`` by
+        LANES*gamma.  So unlike ``randbelow``, ``state`` moves a block at a
+        time, ahead of the values taken so far.
+        """
+        if bound <= 0:
+            raise ValueError("bound must be positive")
+        limit = accept_limit(bound)
+        while True:
+            z = (self.state * _ONES + _STEPS) & _LOW
+            self.state = (self.state + LANES * _GAMMA) & MASK64
+            z = ((z ^ (z >> 30)) & _LOW) * 0xBF58476D1CE4E5B9 & _LOW
+            z = ((z ^ (z >> 27)) & _LOW) * 0x94D049BB133111EB & _LOW
+            z ^= z >> 31  # what this spills into the high halves is never read
+            words = _LANE.unpack(z.to_bytes(16 * LANES, "little"))
+            yield from [v % bound for v in words if v < limit]
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle driven by this stream."""

@@ -4,9 +4,11 @@ The interval suitability check, the block draw of rank rows and the
 mask embedding check must give the same verdicts and witnesses as the
 straightforward implementations: the per-row suffix-bitset suitability
 check kept below, the scalar ``SplitMix64.shuffle`` draw, and
-``verify_embedding`` over ``FinitePoset``s.
+``verify_embedding`` over ``FinitePoset``s.  The block streams
+``next_block`` and ``draws_below`` must equal the scalar draws.
 """
 
+import itertools
 import math
 import random
 
@@ -25,7 +27,7 @@ from divdim.divposets import (
 from divdim.pipeline import _build_coverfree_zone, plan
 from divdim.posets import FinitePoset, verify_embedding
 from divdim.primes import sieve_primes
-from divdim.rng import MASK64, SplitMix64, child_seed
+from divdim.rng import LANES, MASK64, SplitMix64, child_seed
 
 TABLE = sieve_primes(10**4)
 
@@ -316,6 +318,23 @@ def test_next_block_equals_next_u64():
         assert a.next_block(300).tolist() == [b.next_u64() for _ in range(300)]
         assert a.state == b.state
         assert a.next_block(0).size == 0 and a.next_u64() == b.next_u64()
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 729, 10**9, 2**63 + 5, 2**64 - 1])
+def test_draws_below_equals_randbelow(bound):
+    # 2 * LANES + 7 values cross two block boundaries; about half of the
+    # outputs fall in the rejection region of 2^63 + 5
+    gamma = 0x9E3779B97F4A7C15  # SplitMix64's published increment
+    count = 2 * LANES + 7
+    for seed in (0, 1, MASK64):
+        scalar, stream = SplitMix64(seed), SplitMix64(seed)
+        want = [scalar.randbelow(bound) for _ in range(count)]
+        assert list(itertools.islice(stream.draws_below(bound), count)) == want
+        # the stream's state sits at the end of the block holding the last
+        # output the scalar draws read
+        outputs = (scalar.state - seed) * pow(gamma, -1, 1 << 64) & MASK64
+        blocks = -(-outputs // LANES)
+        assert stream.state == (seed + blocks * LANES * gamma) & MASK64
 
 
 # --- embeddings ----------------------------------------------------------------------

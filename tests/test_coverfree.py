@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divdim.base import DomainError, ResourceLimitError
+from divdim.base import DomainError, ResourceLimitError, Verdict
 from divdim.coverfree import (
     SetFamily,
     build_field,
@@ -16,6 +16,7 @@ from divdim.coverfree import (
     verify_cover_free,
 )
 from divdim.primes import prime_power_base
+from divdim.rng import SplitMix64
 
 
 def field_for(q):
@@ -192,6 +193,50 @@ def test_sampled_mode_finds_planted_cover():
     verdict = verify_cover_free(fam, 2, mode="sampled", samples=2000, seed=0)
     assert not verdict
     assert verdict.note == "sampled"
+
+
+def scalar_sampled_verdict(family, r, samples, seed):
+    """Sampled mode as it was written with one ``randbelow`` per draw."""
+    masks = family.masks()
+    m = len(masks)
+    rng = SplitMix64(seed)
+    for _ in range(samples):
+        i = rng.randbelow(m)
+        chosen = []
+        union = 0
+        while len(chosen) < r:
+            j = rng.randbelow(m)
+            if j != i and j not in chosen:
+                chosen.append(j)
+                union |= masks[j]
+        if masks[i] & ~union == 0:
+            return Verdict(False, (i, tuple(chosen)), note="sampled")
+    return Verdict(True, note=f"sampled: no counterexample found in {samples} samples")
+
+
+@pytest.mark.parametrize(
+    "family, r, samples, seeds, ok",
+    [
+        (eff_family(field_for(9), 2), 4, 20_000, (0, 1, 2**64 - 1), True),
+        (eff_family(field_for(8), 1), 7, 20_000, (0, 1, 2**64 - 1), True),
+        (eff_family(field_for(5), 1), 6, 20_000, range(8), False),
+        # fails only after 600 to 4000 samples, several blocks into the stream
+        (eff_family(field_for(9), 1), 9, 20_000, range(4), False),
+        (
+            SetFamily(4, (frozenset({0, 1}), frozenset({0}), frozenset({1}), frozenset({2}))),
+            2,
+            2000,
+            range(8),
+            False,
+        ),
+    ],
+    ids=["gf9-h2-r4", "gf8-h1-r7", "gf5-h1-r6", "gf9-h1-r9", "planted"],
+)
+def test_sampled_verdicts_match_the_scalar_loop(family, r, samples, seeds, ok):
+    for seed in seeds:
+        want = scalar_sampled_verdict(family, r, samples, seed)
+        assert want.ok is ok
+        assert verify_cover_free(family, r, mode="sampled", samples=samples, seed=seed) == want
 
 
 def test_family_validation():
