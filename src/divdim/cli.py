@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success or verified, 1 verification failure (witness on
-stderr), 2 usage or domain error, 3 resource guard or retry budget.
+stderr), 2 usage or domain error, 3 resource guard or retry budget.  A
+command whose reader closes standard output early still runs to its end
+and exits with its own code.
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import warnings
 from itertools import islice
@@ -331,8 +334,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    stdout, sys.stdout = sys.stdout, _ReaderMayLeave(sys.stdout)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return code
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -343,6 +349,42 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        sys.stdout = stdout
+
+
+class _ReaderMayLeave:
+    """Standard output for one command, whose reader may close it early.
+
+    A write or flush that finds the pipe closed points the stream's file
+    descriptor at devnull, as the Python docs advise, and goes on: the
+    command runs to its end and exits with its own code, and the flush
+    at exit does not fail again.  Anything else is the stream's own.
+    """
+
+    def __init__(self, stream):
+        self._stream = stream
+
+    def __getattr__(self, name):
+        return getattr(self._stream, name)
+
+    def write(self, text: str) -> int:
+        try:
+            return self._stream.write(text)
+        except BrokenPipeError:
+            self._to_devnull()
+            return len(text)
+
+    def flush(self) -> None:
+        try:
+            self._stream.flush()
+        except BrokenPipeError:
+            self._to_devnull()
+
+    def _to_devnull(self) -> None:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, self._stream.fileno())
+        os.close(devnull)
 
 
 if __name__ == "__main__":

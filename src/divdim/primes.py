@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Iterator
 
 from .base import DomainError, ResourceLimitError
 
@@ -89,39 +87,43 @@ def factorize(a: int) -> dict[int, int]:
     return out
 
 
-def factorize_many(values) -> Iterator[dict[int, int]]:
-    """``factorize(v)`` for each of ``values`` in turn, trial-dividing them at once.
+def factorize_many(values):
+    """The factorisations of ``values`` as columns, trial-dividing them at once.
 
     ``values`` are positive, below 2^63, and their square roots within
-    the sieve budget.  Each prime p up to the square root of the largest
-    value divides out of every value it divides, in ascending order;
-    what is left above 1 is a prime larger than all of them.  So each
-    dict is the factorisation with its primes ascending, as
-    ``factorize`` gives it.  The dicts are made one at a time, as they
-    are asked for.
+    the sieve budget.  Returns three int64 arrays (value index, prime,
+    exponent), one entry per prime factor: prime^exponent exactly
+    divides values[index].  Entries are sorted by value index and each
+    value's primes ascend, as ``factorize`` gives them; 1 has no
+    entries.  Each prime up to the square root of the largest value is
+    tested against every value; what is left of a value once its small
+    primes are divided out is 1 or a prime larger than all of them.
     """
     import numpy as np
 
     rest = np.array(values, dtype=np.int64)
     if (rest < 1).any():
         raise DomainError("factorize requires a positive integer")
-    found = []  # (value index, prime, exponent) columns, primes ascending
-    for p in sieve_primes(max(math.isqrt(int(rest.max(initial=1))), 1)).primes:
-        hit = np.flatnonzero(rest % p == 0)
-        exps = np.zeros(len(hit), dtype=np.int64)
-        live = np.arange(len(hit))
-        while len(live):
-            rest[hit[live]] //= p
-            exps[live] += 1
-            live = live[rest[hit[live]] % p == 0]
-        found.append((hit, np.full(len(hit), p), exps))
+    small = sieve_primes(max(math.isqrt(int(rest.max(initial=1))), 1)).primes
+    hits = [np.flatnonzero(rest % p == 0) for p in small]
+    index = np.concatenate([np.zeros(0, dtype=np.int64), *hits])
+    primes = np.repeat(np.array(small, dtype=np.int64), list(map(len, hits)))
+    exps = np.ones(len(index), dtype=np.int64)
+    quotient = rest[index] // primes
+    live = np.flatnonzero(quotient % primes == 0)
+    while len(live):
+        quotient[live] //= primes[live]
+        exps[live] += 1
+        live = live[quotient[live] % primes[live] == 0]
+    np.floor_divide.at(rest, index, primes**exps)  # a value's index may repeat
     big = np.flatnonzero(rest > 1)
-    found.append((big, rest[big], np.ones(len(big), dtype=np.int64)))
-    index, primes, exps = map(np.concatenate, zip(*found))
-    order = np.argsort(index, kind="stable")  # keeps each value's primes ascending
-    pairs = zip(primes[order].tolist(), exps[order].tolist())
-    for count in np.bincount(index, minlength=len(rest)).tolist():
-        yield dict(islice(pairs, count))
+    # the small primes come in ascending order and the large one after them,
+    # so a stable sort by index keeps each value's primes ascending
+    index = np.concatenate([index, big])
+    primes = np.concatenate([primes, rest[big]])
+    exps = np.concatenate([exps, np.ones(len(big), dtype=np.int64)])
+    order = np.argsort(index, kind="stable")
+    return index[order], primes[order], exps[order]
 
 
 def squarefree_part(a: int) -> int:

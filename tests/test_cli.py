@@ -242,6 +242,16 @@ def test_verify_json_output(tmp_path, capsys):
     assert data["pairs_checked"] == 60 * 59
 
 
+def test_verify_json_gives_the_time_of_each_phase(tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    main(["certify", "--n", "60", "--seed", "0", "--out", str(cert)])
+    capsys.readouterr()
+    assert main(["verify", "--cert", str(cert), "--sampled", "100", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert "wall_time" not in data
+    assert data["integrity_s"] > 0 and data["functional_s"] > 0
+
+
 def test_inputs_beyond_word_cap_rejected(capsys):
     assert main(["sieve", "--limit", str(2**63)]) == 2
     assert main(["certify", "--n", str(2**63), "--out", "/tmp/x.json"]) == 2
@@ -290,16 +300,54 @@ def test_tampered_recipe_fails_fast(tmp_path, capsys, cert_2000, key, value):
     assert "witness: ('zone" in err and f"(random-suitable)', '{key}" in err
 
 
-def _divdim(*args, timeout):
+def _divdim(*args, timeout, stdout=subprocess.PIPE, **env):
     """divdim run in a separate process, so a hang or a traceback shows."""
     src = str(Path(divdim.__file__).parent.parent)
     return subprocess.run(
         [sys.executable, "-m", "divdim.cli", *args],
-        env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=src, **env),
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         timeout=timeout,
     )
+
+
+# Python writes stdout to a pipe at once when PYTHONUNBUFFERED is set,
+# else at the flush after the command or at exit
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "args, flip, status",
+    [
+        (["verify"], False, 0),
+        (["verify", "--sampled", "100"], False, 0),
+        (["verify", "--json"], False, 0),
+        (["verify"], True, 1),
+        # more than a pipe buffer of output
+        (["bounds", "--n", ",".join(map(str, range(100, 400)))], False, 0),
+    ],
+    ids=["verify", "sampled", "json", "flipped", "bounds"],
+)
+def test_a_closed_stdout_keeps_the_exit_code(tmp_path, args, flip, status, unbuffered):
+    # the read end is closed before divdim starts, so every write to
+    # stdout fails, whenever it happens
+    cert = tmp_path / "cert.json"
+    assert main(["certify", "--n", "60", "--out", str(cert)]) == 0
+    if flip:
+        data = json.loads(cert.read_text())
+        _zone(data, "random-suitable")["ranks"][0][0] ^= 1
+        cert.write_text(json.dumps(data))
+    if args[0] == "verify":
+        args = [*args, "--cert", str(cert)]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = _divdim(*args, timeout=30, stdout=write, PYTHONUNBUFFERED=unbuffered)
+    finally:
+        os.close(write)
+    assert done.returncode == status, done.stderr
+    assert "Broken pipe" not in done.stderr and "Traceback" not in done.stderr
+    assert ("witness:" in done.stderr) == flip
 
 
 @pytest.mark.parametrize(

@@ -18,12 +18,12 @@ from divdim.pipeline import (
     _colex_key,
     _failure_kind,
     _verify_exhaustive,
-    _zone_owns,
     build_certificate,
     certificate_zones,
     plan,
 )
 from divdim.primes import factorize, sieve_primes
+from zone_reference import _zone_owns
 
 
 def dense_scan(cert, report_notes):

@@ -1,9 +1,11 @@
 import dataclasses
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 
+from divdim import pipeline
 from divdim.base import DomainError, ResourceLimitError
 from divdim.divposets import DivPosetSpec, build_div_poset, coverfree_embedding
 from divdim.pipeline import (
@@ -291,6 +293,28 @@ def test_exhaustive_scan_counts_pairs_and_truncates_failures():
             assert len(failures) == 20 and notes == ["failure list truncated at 20"]
         else:
             assert not failures and not notes
+
+
+@pytest.mark.parametrize("mode, samples", [("exhaustive", None), ("sampled", 5000)])
+def test_report_times_both_phases_and_lists_every_pair_failure(monkeypatch, mode, samples):
+    # keeping one rank row of the random-suitable zone makes more than
+    # 20 pairs fail at n = 1000; the summary shows all 20 it keeps
+    cert, table = cert_for(1000)
+    data = json.loads(cert.dumps())
+    for zone in data["zones"]:
+        if zone["kind"] == "random-suitable":
+            zone["ranks"] = zone["ranks"][:1]
+    broken = RealiserCertificate.from_json_dict(data)
+    clock = iter(range(3))
+    monkeypatch.setattr(pipeline, "time", SimpleNamespace(perf_counter=lambda: 1.5 * next(clock)))
+    report = verify_certificate(broken, table, mode=mode, samples=samples)
+    # the clock reads 0 at the start, 1.5 after integrity and 3 at the end
+    assert (report.integrity_s, report.functional_s) == (1.5, 1.5)
+    lines = report.summary().splitlines()
+    assert lines[0].startswith(f"FAIL: {mode} verification, ")
+    assert lines[0].endswith(" in 3.00s (integrity 1.50s, functional 1.50s)")
+    assert sum(line.startswith("  pair: ") for line in lines) == len(report.pair_failures) == 20
+    assert "wall_time" not in {f.name for f in dataclasses.fields(report)}
 
 
 def test_structurally_broken_certificates_rejected():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -91,33 +92,38 @@ def test_factorize_rejects_zero():
         squarefree_part(0)
 
 
-def _items(factorisations):
-    # dict order too: the primes come ascending, as factorize gives them
-    return [list(f.items()) for f in factorisations]
+def _columns(factorisations):
+    # factorize's dicts, in dict order, as (value index, prime, exponent) columns
+    rows = [(k, p, e) for k, f in enumerate(factorisations) for p, e in f.items()]
+    return [list(col) for col in zip(*rows)] if rows else [[], [], []]
+
+
+def _many(values):
+    columns = factorize_many(values)
+    assert [col.dtype for col in columns] == [np.int64] * 3
+    return [col.tolist() for col in columns]
 
 
 def test_factorize_many_matches_factorize_on_a_range():
     values = range(1, 20_001)
-    assert _items(factorize_many(values)) == _items(map(factorize, values))
+    assert _many(values) == _columns(map(factorize, values))
 
 
 @given(st.lists(st.integers(min_value=1, max_value=10**10), max_size=60))
 @settings(max_examples=50, deadline=None)
 def test_factorize_many_matches_factorize(values):
-    assert _items(factorize_many(values)) == _items(map(factorize, values))
+    assert _many(values) == _columns(map(factorize, values))
 
 
 def test_factorize_many_edge_cases():
-    import numpy as np
-
-    assert list(factorize_many([])) == []
-    assert list(factorize_many([1, 1])) == [{}, {}]
+    assert _many([]) == [[], [], []]
+    assert _many([1, 1]) == [[], [], []]
     # a prime square, a prime above every trial divisor, a uint64 input
-    assert list(factorize_many(np.array([49, 999_983, 2**20], dtype=np.uint64))) == [
-        {7: 2}, {999_983: 1}, {2: 20}
+    assert _many(np.array([49, 999_983, 2**20], dtype=np.uint64)) == [
+        [0, 1, 2], [7, 999_983, 2], [2, 1, 20]
     ]
     with pytest.raises(DomainError):
-        list(factorize_many([3, 0]))
+        factorize_many([3, 0])
 
 
 def test_squarefree_part_examples():

@@ -19,11 +19,9 @@ from divdim import divposets, pipeline
 from divdim.pipeline import (
     RealiserCertificate,
     _colex_key,
-    _colex_places,
     _colex_ranks,
     _failure_kind,
     _sample_pairs,
-    _zone_owns,
     build_certificate,
     certificate_zones,
     plan,
@@ -31,6 +29,8 @@ from divdim.pipeline import (
 )
 from divdim.primes import factorize, sieve_primes
 from divdim.rng import SplitMix64
+from zone_reference import _zone_owns
+from zone_reference import colex_places_of_owns as _colex_places
 
 
 def scalar_sampled(cert, samples, sample_seed):
