@@ -18,7 +18,7 @@ from .base import DomainError, PreconditionError, RetryBudgetError, Verdict
 from .coverfree import SetFamily, greatest_prime_power
 from .multisets import Permutation
 from .posets import DEFAULT_EXACT_GUARD, FinitePoset
-from .primes import PrimeTable, factorize
+from .primes import PrimeTable
 from .rng import MASK64, SplitMix64, child_seed
 
 RETRY_BUDGET = 8
@@ -63,27 +63,38 @@ class DivPosetSpec:
         return tuple(sorted(set(self.prime_set)))
 
 
-def smooth_preorder(primes: Sequence[int], n: int, squarefree: bool) -> Iterator[int]:
-    """The m <= n whose prime factors all lie in ``primes``, depth first.
+def smooth_nodes(
+    primes: Sequence[int], n: int, squarefree: bool
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(m, prime indices) for each m <= n whose prime factors all lie in ``primes``.
 
+    Depth first: m, then each m * primes[i]**k for ascending i past m's
+    largest index while the product stays <= n (k = 1 alone when
+    ``squarefree``).  The indices ascend and repeat for prime powers.
     ``primes`` must be ascending: the first prime that takes a product
-    past n ends the scan, so each step yields a number or stops.
+    past n ends the scan, so each step yields a node or stops.
     """
 
-    def rec(start: int, value: int) -> Iterator[int]:
-        yield value
+    def rec(start: int, value: int, indices: tuple[int, ...]):
+        yield value, indices
         for i in range(start, len(primes)):
-            p = primes[i]
-            v = value * p
+            v = value * primes[i]
             if v > n:
                 break
+            ind = indices + (i,)
             while v <= n:
-                yield from rec(i + 1, v)
+                yield from rec(i + 1, v, ind)
                 if squarefree:
                     break
-                v *= p
+                v *= primes[i]
+                ind += (i,)
 
-    return rec(0, 1)
+    return rec(0, 1, ())
+
+
+def smooth_preorder(primes: Sequence[int], n: int, squarefree: bool) -> Iterator[int]:
+    """The m of ``smooth_nodes``, in its order."""
+    return (m for m, _ in smooth_nodes(primes, n, squarefree))
 
 
 def smooth_numbers(primes: Sequence[int], n: int, *, squarefree: bool = False) -> list[int]:
@@ -105,29 +116,12 @@ def build_div_poset(spec: DivPosetSpec, table: PrimeTable) -> FinitePoset:
 
 
 def squarefree_support_sets(primes: Sequence[int], n: int) -> list[frozenset]:
-    """Supports of the squarefree m <= n with all factors in ``primes``."""
+    """Supports of the squarefree m <= n with all factors in ``primes``, by m."""
+    primes = sorted(primes)
     return [
-        frozenset(factorize(m)) if m > 1 else frozenset()
-        for m in smooth_numbers(primes, n, squarefree=True)
+        frozenset(primes[i] for i in indices)
+        for _, indices in sorted(smooth_nodes(primes, n, True))
     ]
-
-
-def _squarefree_nodes(primes: Sequence[int], n: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(product, prime indices) for each qualifying squarefree m, depth first.
-
-    Preorder: m, then each extension m * primes[i] for ascending i past
-    m's largest index while the product stays <= n.
-    """
-
-    def rec(start: int, value: int, indices: tuple[int, ...]):
-        yield value, indices
-        for i in range(start, len(primes)):
-            v = value * primes[i]
-            if v > n:
-                break
-            yield from rec(i + 1, v, indices + (i,))
-
-    yield from rec(0, 1, ())
 
 
 def _rank_arrays(rank_rows: Sequence[Sequence[int]], length: int):
@@ -146,7 +140,7 @@ def _rank_arrays(rank_rows: Sequence[Sequence[int]], length: int):
         or (ranks.size and ranks.dtype.kind not in "iu")
     ):
         raise DomainError("rank row is not a permutation")
-    ranks = ranks.astype(np.int64)
+    ranks = ranks.astype(np.int64, copy=False)
     if ranks.size and not 0 <= ranks.min() <= ranks.max() < length:
         raise DomainError("rank row is not a permutation")
     at_rank = np.full_like(ranks, -1)
@@ -182,8 +176,6 @@ def _suitability_python(
     at_rank = [_inverse(row, positions) for row in rows]
     columns = list(zip(*rows))  # columns[i][r]: rank of primes[i] in row r
     for value, indices in nodes:
-        if not indices:
-            continue
         tops = columns[indices[0]]
         for i in indices[1:]:
             tops = tuple(map(max, tops, columns[i]))
@@ -203,16 +195,17 @@ def _first_uncovered(ranks, at_rank, tops, indices) -> tuple[int, int] | None:
     """(node, prime index) of the first uncovered pair among a batch of nodes.
 
     ``tops[r, k]`` is node k's top rank in row r and ``indices[k]`` its
-    prime indices, padded with ``length``.  A prime outside the node is
-    uncovered when it ranks below the top in every row, so its candidates
-    are the ranks below the node's lowest top: a slice of that row's
-    inverse permutation.  Slices of consecutive nodes, up to
+    prime indices; a shallower node is padded with its own first index,
+    which changes neither its top nor its primes.  A prime outside the
+    node is uncovered when it ranks below the top in every row, so its
+    candidates are the ranks below the node's lowest top: a slice of that
+    row's inverse permutation.  Slices of consecutive nodes, up to
     SUITABILITY_BLOCK candidates, are filtered row by row together.
     """
     import numpy as np
 
     best = tops.argmin(axis=0)
-    count = np.maximum(tops[best, np.arange(tops.shape[1])], 0)
+    count = tops.min(axis=0)
     ends = np.cumsum(count)
     first = 0
     while first < len(count):
@@ -252,23 +245,22 @@ def check_interval_suitability(
     its lowest-indexed uncovered p.  Memory is O(rows * len(primes)) for
     the rows, O(nodes) for the node list, plus one block of candidates.
     """
-    nodes = list(_squarefree_nodes(primes, n))
-    if len(rank_rows) * len(nodes) < NUMPY_MIN_WORK:
+    nodes = list(smooth_nodes(primes, n, True))
+    small = len(rank_rows) * len(nodes) < NUMPY_MIN_WORK
+    del nodes[0]  # m = 1 has no prime factor: every prime covers it
+    if small:
         return _suitability_python(nodes, primes, _rank_lists(rank_rows, len(primes)))
     import numpy as np
 
     ranks, at_rank = _rank_arrays(rank_rows, len(primes))
-    rows, length = ranks.shape
-    # index ``length`` pads shallower nodes and has rank -1 in every row
-    padded = np.concatenate([ranks, np.full((rows, 1), -1, dtype=ranks.dtype)], axis=1)
-    batch_size = max(1, SUITABILITY_BLOCK // rows)
+    batch_size = max(1, SUITABILITY_BLOCK // len(ranks))
     for start in range(0, len(nodes), batch_size):
         batch = nodes[start : start + batch_size]
-        depth = max(1, max(len(ind) for _, ind in batch))
+        depth = max(len(ind) for _, ind in batch)
         indices = np.array(
-            [ind + (length,) * (depth - len(ind)) for _, ind in batch], dtype=np.int64
+            [ind + ind[:1] * (depth - len(ind)) for _, ind in batch], dtype=np.int64
         )
-        tops = padded[:, indices].max(axis=2)
+        tops = ranks[:, indices].max(axis=2)
         found = _first_uncovered(ranks, at_rank, tops, indices)
         if found is not None:
             k, i = found
@@ -521,7 +513,7 @@ def coverfree_embedding(
         primes=primes,
         assignment=tuple(range(len(primes))),
     )
-    nodes = sorted(_squarefree_nodes(primes, n))
+    nodes = sorted(smooth_nodes(primes, n, True))
     members = family.masks()
     source, image = [], []
     for _, indices in nodes:

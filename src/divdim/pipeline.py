@@ -382,18 +382,7 @@ def _standard_sigma_ranks(d: int) -> tuple[tuple[int, ...], ...]:
     U is not contained in V, any x in U minus V makes V colex-smaller
     than U under the x-on-top order.
     """
-    rows = []
-    for i in range(d):
-        ranks = [0] * d
-        for e in range(d):
-            if e == i:
-                ranks[e] = d - 1
-            elif e < i:
-                ranks[e] = e
-            else:
-                ranks[e] = e - 1
-        rows.append(tuple(ranks))
-    return tuple(rows)
+    return tuple((*range(i), d - 1, *range(i, d - 1)) for i in range(d))
 
 
 def _coverfree_zone(zp: ZonePlan) -> CoverFreeZoneCert:

@@ -223,6 +223,32 @@ def test_bounds_json(capsys):
     assert rows[0]["n"] == 100
 
 
+def test_bounds_reports_the_certificate_dimension(tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    assert main(["certify", "--n", "1000", "--seed", "0", "--out", str(cert)]) == 0
+    capsys.readouterr()
+    assert main(["bounds", "--n", "1000,100000", "--cert", str(cert)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[-1] == "cert"
+    assert lines[1].split()[0] == "1000" and lines[1].split()[-1] == "153"
+    assert lines[2].split()[0] == "100000" and lines[2].split()[-1] == "-"
+    assert main(["bounds", "--n", "1000,100000", "--cert", str(cert), "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [r["certificate_dimension"] for r in rows] == [153, None]
+
+
+def test_exact_dim_above_max_d_says_so(capsys):
+    assert main(["exact-dim", "--divisibility", "12", "--max-d", "1"]) == 0
+    assert capsys.readouterr().out == "dimension exceeds max_d = 1\n"
+
+
+def test_coverfree_build_verify_failure_gives_a_witness(capsys):
+    assert main(["coverfree", "build", "--q", "3", "--h", "1", "--verify", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "not 5-cover-free: witness (0, (1, 2, 3, 4, 5))\n"
+    assert "verified" not in captured.out
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["bounds", "--n", "2"]) == 2
     assert main(["no-such-command"]) == 2

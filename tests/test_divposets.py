@@ -15,7 +15,9 @@ from divdim.divposets import (
     check_interval_suitability,
     coverfree_embedding,
     random_suitable_interval,
+    smooth_nodes,
     smooth_numbers,
+    smooth_preorder,
     squarefree_support_sets,
     suitable_size_cap,
     verify_interval_suitable,
@@ -88,6 +90,42 @@ def test_smooth_numbers_match_a_factorisation_filter():
                 if set(f) <= set(primes) and (not squarefree or set(f.values()) <= {1})
             ]
             assert smooth_numbers(primes, n, squarefree=squarefree) == expected
+
+
+WALK_LIMIT = 5000
+FACTORS = {m: factorize(m) for m in range(1, WALK_LIMIT + 1)}
+# small primes, so that products of several stay within the limit
+_WALK_PRIME = st.one_of(
+    st.sampled_from(TABLE.primes_in(0, 50)), st.sampled_from(TABLE.primes_in(0, WALK_LIMIT))
+)
+
+
+@given(
+    st.lists(_WALK_PRIME, unique=True, max_size=10).map(sorted).map(tuple),
+    st.integers(1, WALK_LIMIT),
+    st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_smooth_nodes_match_a_scan_of_n(primes, n, squarefree):
+    def qualifying(squarefree_only):
+        return [
+            m
+            for m in range(1, n + 1)
+            if set(FACTORS[m]) <= set(primes)
+            and not (squarefree_only and any(e > 1 for e in FACTORS[m].values()))
+        ]
+
+    nodes = list(smooth_nodes(primes, n, squarefree))
+    expected = qualifying(squarefree)
+    # each qualifying m once: the scan's list has no repeats
+    assert sorted(m for m, _ in nodes) == expected
+    for m, indices in nodes:
+        assert indices == tuple(
+            primes.index(p) for p, e in sorted(FACTORS[m].items()) for _ in range(e)
+        )
+    assert list(smooth_preorder(primes, n, squarefree)) == [m for m, _ in nodes]
+    assert smooth_numbers(primes, n, squarefree=squarefree) == expected
+    assert squarefree_support_sets(primes, n) == [frozenset(FACTORS[m]) for m in qualifying(True)]
 
 
 # --- the squarefree reduction on real divisibility posets -------------------

@@ -78,6 +78,26 @@ def test_plan_strategy_matches_boost_feasibility():
             assert (z.kind == "cover-free") == z.boost.feasible
 
 
+def test_plan_widens_when_the_intervals_stop_short_of_the_middle_limit():
+    # d^(2^K) = 49 falls short of B = 49.10..., and (49, 49.10] holds no prime
+    n = 1332
+    table = sieve_primes(n)
+    pl = plan(n, 0.01, table)
+    assert pl.interval_count == 1
+    assert 49 < pl.middle_limit < 50
+    zones = [(z.kind, len(z.primes)) for z in pl.zones]
+    assert zones == [("chains", 9), ("random-suitable", 6), ("random-suitable", 202)]
+    assert pl.zones[1].lo == pl.small_limit and pl.zones[1].hi == 49
+    assert pl.zones[2].lo == pl.middle_limit and pl.zones[2].hi == n
+    assert pl.zones[1].primes == (29, 31, 37, 41, 43, 47)
+    assert pl.zones[2].primes[0] == 53
+    cert = build_certificate(pl, 0, table)
+    assert cert.dimension == 53
+    report = verify_certificate(cert, table)
+    assert report.ok
+    assert report.pairs_checked == n * n - n
+
+
 def test_plan_rejects_bad_arguments():
     with pytest.raises(DomainError):
         plan(0, 0.5, TABLE)
