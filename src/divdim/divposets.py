@@ -26,8 +26,11 @@ RETRY_BUDGET = 8
 # sooner than importing numpy (about 0.1 s) would, so small certificates
 # are built without numpy.
 NUMPY_MIN_WORK = 1 << 16
-# candidate (node, prime) pairs filtered at once by the numpy suitability check
+# (row, node) pairs per batch, (node, prime) cells per prefilter chunk and
+# prefilter survivors per row-filter pass of the numpy suitability check
 SUITABILITY_BLOCK = 1 << 20
+# nodes per chunk of the suitability prefilter, which sorts nodes by count
+_CHUNK_NODES = 256
 
 
 @dataclass(frozen=True)
@@ -151,17 +154,21 @@ def _rank_arrays(rank_rows: Sequence[Sequence[int]], length: int):
     return ranks, at_rank
 
 
-def _rank_lists(rank_rows: Sequence[Sequence[int]], length: int) -> list[list[int]]:
-    """Rank rows as validated lists of ints."""
+def _rank_lists(rank_rows: Sequence[Sequence[int]], length: int) -> list[Sequence[int]]:
+    """Rank rows as validated sequences of ints; rows of exact ints are kept as given."""
     if len(rank_rows) == 0:
         raise DomainError("at least one permutation is required")
     positions = list(range(length))
     rows = []
     for row in rank_rows:
-        try:
-            row = [operator.index(v) for v in row]
-        except TypeError:
-            raise DomainError("rank row is not a permutation") from None
+        if set(map(type, row)) - {int}:
+            # operator.index takes numpy ints, and bools, which numpy's path rejects
+            if bool in map(type, row):
+                raise DomainError("rank row is not a permutation")
+            try:
+                row = list(map(operator.index, row))
+            except TypeError:
+                raise DomainError("rank row is not a permutation") from None
         if sorted(row) != positions:
             raise DomainError("rank row is not a permutation")
         rows.append(row)
@@ -169,7 +176,7 @@ def _rank_lists(rank_rows: Sequence[Sequence[int]], length: int) -> list[list[in
 
 
 def _suitability_python(
-    nodes: list[tuple[int, tuple[int, ...]]], primes: Sequence[int], rows: list[list[int]]
+    nodes: list[tuple[int, tuple[int, ...]]], primes: Sequence[int], rows: list[Sequence[int]]
 ) -> Verdict:
     """The candidate filter of ``_first_uncovered``, one node at a time."""
     positions = list(range(len(primes)))
@@ -191,6 +198,76 @@ def _suitability_python(
     return Verdict(True)
 
 
+def _row_masks(flags):
+    """Each column's set flags among the first 64 rows, as one uint64 per column."""
+    import numpy as np
+
+    out = np.zeros((flags.shape[1], 8), dtype=np.uint8)
+    packed = np.packbits(flags[:64], axis=0, bitorder="little")
+    out[:, : len(packed)] = packed.T
+    return out.view("<u8")[:, 0]
+
+
+def _chunks(sorted_count):
+    """(first, last) of each chunk of nodes, sorted by candidate count, that has candidates.
+
+    A chunk holds at most _CHUNK_NODES nodes and SUITABILITY_BLOCK cells
+    (its nodes times its largest count), or a single node.
+    """
+    import numpy as np
+
+    first = int(np.searchsorted(sorted_count, 1))
+    while first < len(sorted_count):
+        widths = sorted_count[first : first + _CHUNK_NODES]
+        cells = np.arange(1, len(widths) + 1) * widths
+        last = first + max(1, int(np.searchsorted(cells, SUITABILITY_BLOCK, side="right")))
+        yield first, last
+        first = last
+
+
+def _prefiltered(ranks, at_rank, tops):
+    """Blocks of (node, candidate) pairs of a batch that pass the prefilter.
+
+    A prime below node k's top in every row is below half the ranks in
+    each row where the top is at or below half.  ``low[p]`` holds the rows,
+    among the first 64, where p ranks below half, and ``need[k]`` those
+    where k's top is at or below half; a candidate p of k passes only if
+    ``need[k] & ~low[p]`` is 0.  Each chunk of ``_chunks`` is one dense
+    AND over the first ranks of its nodes' best rows, and the passing
+    pairs are yielded in blocks of about SUITABILITY_BLOCK.
+    """
+    import numpy as np
+
+    half = ranks.shape[1] // 2
+    low = _row_masks(ranks[:64] < half)
+    need = _row_masks(tops[:64] <= half)
+    best = tops.argmin(axis=0)
+    count = tops.min(axis=0)
+    order = np.argsort(count, kind="stable")
+    sorted_count = count[order]
+    lacks = np.invert(low[at_rank[:, : sorted_count[-1]]])
+    pending, size = [], 0
+    for first, last in _chunks(sorted_count):
+        chunk = order[first:last]
+        width = sorted_count[last - 1]
+        passed = (lacks[best[chunk], :width] & need[chunk, None]) == 0
+        # past a node's own count sit its top prime, which passes, and primes above it
+        passed &= np.arange(width) < count[chunk, None]
+        hit = np.flatnonzero(passed.any(axis=1))
+        if not hit.size:
+            continue
+        nodes, passed = chunk[hit], passed[hit]
+        pending.append(
+            (np.repeat(nodes, passed.sum(axis=1)), at_rank[best[nodes], :width][passed])
+        )
+        size += pending[-1][0].size
+        if size >= SUITABILITY_BLOCK:
+            yield tuple(map(np.concatenate, zip(*pending)))
+            pending, size = [], 0
+    if pending:
+        yield tuple(map(np.concatenate, zip(*pending)))
+
+
 def _first_uncovered(ranks, at_rank, tops, indices) -> tuple[int, int] | None:
     """(node, prime index) of the first uncovered pair among a batch of nodes.
 
@@ -199,25 +276,15 @@ def _first_uncovered(ranks, at_rank, tops, indices) -> tuple[int, int] | None:
     which changes neither its top nor its primes.  A prime outside the
     node is uncovered when it ranks below the top in every row, so its
     candidates are the ranks below the node's lowest top: a slice of that
-    row's inverse permutation.  Slices of consecutive nodes, up to
-    SUITABILITY_BLOCK candidates, are filtered row by row together.
+    row's inverse permutation.  The candidates that pass ``_prefiltered``
+    (about 2**-20 of them for 40 random rows) are filtered row by row.
+    The witness is the first failing node, then its lowest uncovered
+    prime index.
     """
     import numpy as np
 
-    best = tops.argmin(axis=0)
-    count = tops.min(axis=0)
-    ends = np.cumsum(count)
-    first = 0
-    while first < len(count):
-        block_end = ends[first] - count[first] + SUITABILITY_BLOCK
-        last = max(first + 1, int(np.searchsorted(ends, block_end, side="right")))
-        node = np.repeat(np.arange(first, last), count[first:last])
-        cand = np.concatenate(
-            [
-                at_rank[r, :c]
-                for r, c in zip(best[first:last].tolist(), count[first:last].tolist())
-            ]
-        )
+    found = None
+    for node, cand in _prefiltered(ranks, at_rank, tops):
         for r in range(len(ranks)):
             keep = np.flatnonzero(ranks[r][cand] < tops[r][node])
             node, cand = node[keep], cand[keep]
@@ -228,9 +295,9 @@ def _first_uncovered(ranks, at_rank, tops, indices) -> tuple[int, int] | None:
         node, cand = node[outside], cand[outside]
         if node.size:
             k = node.min()
-            return int(k), int(cand[node == k].min())
-        first = last
-    return None
+            pair = int(k), int(cand[node == k].min())
+            found = pair if found is None else min(found, pair)
+    return found
 
 
 def check_interval_suitability(
@@ -242,9 +309,17 @@ def check_interval_suitability(
     scanning [n]); for each m and each non-dividing prime p, some row
     must rank every prime factor of m at or below p.  The witness on
     failure is the first uncovered (m, p): the first m in that order, and
-    its lowest-indexed uncovered p.  Memory is O(rows * len(primes)) for
-    the rows, O(nodes) for the node list, plus one block of candidates.
+    its lowest-indexed uncovered p.  ``primes`` must be strictly
+    ascending, as ``smooth_nodes`` needs.  The numpy path passes each
+    candidate (m, p) through a one-word bitmask prefilter over the first
+    64 rows before the exact row filter (see ``_prefiltered``).  Memory
+    is O(rows * len(primes)) for the rows and their inverse, O(nodes) for
+    the node list, plus per batch of nodes one mask word per prime and
+    node, a rows x (largest candidate count) mask table, and blocks of
+    SUITABILITY_BLOCK prefilter cells and survivors.
     """
+    if not all(map(operator.lt, primes, primes[1:])):
+        raise DomainError("primes must be strictly ascending")
     nodes = list(smooth_nodes(primes, n, True))
     small = len(rank_rows) * len(nodes) < NUMPY_MIN_WORK
     del nodes[0]  # m = 1 has no prime factor: every prime covers it

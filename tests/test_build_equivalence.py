@@ -223,6 +223,139 @@ def test_suitability_block_boundaries(monkeypatch):
         assert_same(check_interval_suitability(2500, primes, rows), expected)
 
 
+def test_suitability_block_boundaries_split_chunks(monkeypatch):
+    # one batch of 303 one-prime nodes, cut into chunks by cells and by nodes
+    monkeypatch.setattr(divposets, "NUMPY_MIN_WORK", 1)
+    n = 2000
+    primes = TABLE.primes_in(n**0.5, n)
+    rows = draw_interval_perms(primes, 4, 0, 3)
+    expected = bitset_interval_suitability(n, primes, rows)
+    chunks = []
+
+    def spy(sorted_count):
+        for first, last in real(sorted_count):
+            chunks.append((last - first, (last - first) * int(sorted_count[last - 1])))
+            yield first, last
+
+    real = divposets._chunks
+    monkeypatch.setattr(divposets, "_chunks", spy)
+    for block in (1 << 20, 1 << 12, 1000):
+        monkeypatch.setattr(divposets, "SUITABILITY_BLOCK", block)
+        chunks.clear()
+        assert_same(check_interval_suitability(n, primes, rows), expected)
+        assert len(chunks) > 1
+        assert all(k <= 256 and (cells <= block or k == 1) for k, cells in chunks)
+    assert max(k for k, _ in chunks) > 1
+
+
+def identity_rows_with_one_separator(length, p, count):
+    """``count`` rank rows in which only the last puts index p above p + 1.
+
+    Row 0 ranks by index and row 1 reverses it, but both keep p below
+    p + 1, so the two separate every other ordered pair; the middle rows
+    repeat row 0.  The last row is row 0 with p and p + 2 swapped: p goes
+    above p + 1, whose lowest rank, and so its candidates, stay in an
+    earlier row.
+    """
+    up = list(range(length))
+    down = [length - 1 - i for i in range(length)]
+    down[p], down[p + 1] = down[p + 1], down[p]
+    last = up[:]
+    last[p], last[p + 2] = last[p + 2], last[p]
+    return [up, down] + [up] * (count - 3) + [last]
+
+
+@pytest.mark.parametrize("pair", ["low", "high"])
+def test_suitability_reads_rows_past_the_mask_words(pair, path):
+    # 70 rows: the prefilter's masks see rows 0-63, only row 69 separates one pair
+    n = 4000
+    primes = TABLE.primes_in(n**0.5, n)
+    p = 3 if pair == "low" else len(primes) - 3
+    rows = identity_rows_with_one_separator(len(primes), p, 70)
+    assert check_interval_suitability(n, primes, rows)
+    assert bitset_interval_suitability(n, primes, rows)
+    new = check_interval_suitability(n, primes, rows[:69])
+    assert_same(new, bitset_interval_suitability(n, primes, rows[:69]))
+    assert new.witness == (primes[p + 1], primes[p])
+
+
+def plant_below(rows, top, low):
+    """Swap ranks so that index ``low`` ranks below index ``top`` in every row."""
+    for row in rows:
+        if row[low] > row[top]:
+            row[low], row[top] = row[top], row[low]
+
+
+@pytest.mark.parametrize("block", [1 << 20, 1 << 14])
+def test_suitability_witness_is_first_in_walk_order(block, path, monkeypatch):
+    # the first failing node in walk order has the largest count, so it is
+    # in the last chunk; a later node with count 1 fails in the first chunk
+    monkeypatch.setattr(divposets, "SUITABILITY_BLOCK", block)
+    n = 4000
+    primes = TABLE.primes_in(n**0.5, n)
+    length = len(primes)
+    rows = [list(r) for r in random_suitable_interval(n, n**0.5, n, 7, TABLE).rank_rows()]
+    early, late = 0, length - 10
+    for r, row in enumerate(rows):
+        # lift the early node to distinct high ranks, lowest in row 0
+        target = row.index(length - 1 - (len(rows) - 1 - r))
+        row[early], row[target] = row[target], row[early]
+    plant_below(rows, early, 5)
+    row = rows[5]
+    for idx, rank in ((late, 1), (late + 1, 0)):
+        other = row.index(rank)
+        row[idx], row[other] = row[other], row[idx]
+    plant_below(rows, late, late + 1)
+    tops = [[row[early] for row in rows], [row[late] for row in rows]]
+    assert min(tops[0]) > length // 2 and min(tops[1]) == 1
+    assert tops[0].index(min(tops[0])) != tops[1].index(1)
+    new = check_interval_suitability(n, primes, rows)
+    assert_same(new, bitset_interval_suitability(n, primes, rows))
+    assert new.witness[0] == primes[early]
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+@pytest.mark.parametrize("block", [1 << 11, 1 << 13])
+def test_suitability_first_failure_across_survivor_blocks(count, block, monkeypatch):
+    # few rows leave many prefilter survivors, filtered in several blocks
+    monkeypatch.setattr(divposets, "NUMPY_MIN_WORK", 1)
+    monkeypatch.setattr(divposets, "SUITABILITY_BLOCK", block)
+    n = 4000
+    primes = TABLE.primes_in(n**0.5, n)
+    for seed in range(3):
+        rows = draw_interval_perms(primes, seed, 0, count)
+        new = check_interval_suitability(n, primes, rows)
+        assert not new
+        assert_same(new, bitset_interval_suitability(n, primes, rows))
+
+
+@pytest.mark.parametrize("length", [1, 2, 3])
+@pytest.mark.parametrize("count", [1, 2])
+def test_suitability_tiny_intervals(length, count, path):
+    primes = (7, 11, 13)[:length]
+    perms = [list(p) for p in itertools.permutations(range(length))]
+    for rows in itertools.product(perms, repeat=count):
+        for n in (10, 100, 1001):
+            assert_same(
+                check_interval_suitability(n, primes, list(rows)),
+                bitset_interval_suitability(n, primes, list(rows)),
+            )
+
+
+def test_suitability_requires_ascending_primes(path):
+    # over (7, 17, 11) the walk stopped at 7 * 17 > 100 and never reached 77
+    rows = [[0, 2, 1], [2, 0, 1]]
+    for primes in ((7, 17, 11), (7, 7, 11), (11, 7)):
+        with pytest.raises(DomainError):
+            check_interval_suitability(100, primes, rows if len(primes) == 3 else [[0, 1]])
+    new = check_interval_suitability(100, (7, 11, 17), rows)
+    assert new.witness == (77, 17)
+    assert_same(new, bitset_interval_suitability(100, (7, 11, 17), rows))
+
+
+BOOL_ROWS = [[True, False], [False, True]]  # a permutation of two primes, as ints
+
+
 @pytest.mark.parametrize(
     "rows",
     [
@@ -233,11 +366,13 @@ def test_suitability_block_boundaries(monkeypatch):
         [[0, 1, 2], [0, 1]],
         [[0.0, 1.0, 2.0]],
         [[-1, 0, 1]],
+        BOOL_ROWS,
     ],
 )
 def test_suitability_rejects_non_permutations(rows, path):
+    primes = (7, 11) if rows is BOOL_ROWS else (7, 11, 13)
     with pytest.raises(DomainError):
-        check_interval_suitability(100, (7, 11, 13), rows)
+        check_interval_suitability(100, primes, rows)
 
 
 # --- draws ------------------------------------------------------------------------
