@@ -496,7 +496,8 @@ def random_suitable_interval(
 
 
 def verify_interval_suitable(s: IntervalSuitableSet) -> Verdict:
-    """Independent re-check of the covering property of a stored set."""
+    """Re-check a stored set with ``check_interval_suitability``, the same
+    check ``random_suitable_interval`` passed before it returned the set."""
     return check_interval_suitability(s.n, s.primes, s.ranks)
 
 

@@ -662,54 +662,38 @@ def _zone_parts(table, zone_count: int, numbers):
     exponents) arrays, ``_padded``'s form with each part's columns in
     the order of its primes, the empty part first and the others by
     ascending value; group[Z, k] is the index there of numbers[k]'s
-    part.  The numbers are factorised together by ``factorize_many``,
-    and each (number, zone) cell and each distinct part is found by one
-    sort over all zones.
+    part.  The numbers are factorised together by ``factorize_many``
+    and each factor is matched to its zones' entries in the table; then
+    each zone in turn takes its entries in factor order (by number, each
+    number's primes ascending) and numbers the values it meets.
     """
     import numpy as np
 
-    count = len(numbers)
     index, primes, exps = factorize_many(numbers)
     lo = np.searchsorted(table[0], primes, side="left")
     hits = np.searchsorted(table[0], primes, side="right") - lo
-    # one entry per (factor, zone) match, grouped by (number, zone) cell;
-    # the sort is stable, so a cell's primes stay ascending
+    # one entry per (factor, zone) match, in factor order
     factor = np.repeat(np.arange(len(primes)), hits)
     entry = lo[factor] + np.arange(len(factor)) - np.repeat(np.cumsum(hits) - hits, hits)
-    cell = index[factor] * zone_count + table[1, entry]
-    order = np.argsort(cell, kind="stable")
-    cell, factor, cols = cell[order], factor[order], table[2, entry[order]]
-    exps = exps[factor]
-    starts = np.flatnonzero(np.diff(cell, prepend=-1))
-    value = np.multiply.reduceat(primes[factor] ** exps, starts) if len(cell) else cell
-    length = np.diff(starts, append=len(cell))
-    number, zone = np.divmod(cell[starts], zone_count)
-    # the distinct parts: cells by zone, then value; the first of each
-    # run stands for its part, numbered from 1 within its zone
-    by_part = np.lexsort((value, zone))
-    number, zone, value = number[by_part], zone[by_part], value[by_part]
-    new = np.ones(len(by_part), dtype=bool)
-    new[1:] = (zone[1:] != zone[:-1]) | (value[1:] != value[:-1])
-    part = np.cumsum(new)
-    offset = np.searchsorted(zone[new], np.arange(zone_count + 1))
-    group = np.zeros((zone_count, count), dtype=np.intp)
-    group[zone, number] = part - offset[zone]
-    # every zone's parts in one pair of arrays: zone Z's rows start at
-    # offset[Z] + Z with its empty part, left all zeros
-    starts, length = starts[by_part][new], length[by_part][new]
-    width = int(length.max(initial=0))
-    used = np.arange(width) < length[:, None]
-    at = (starts[:, None] + np.arange(width))[used]
-    row, slot = np.nonzero(used)
-    row = (part[new] + zone[new])[row]
-    part_cols = np.zeros((len(starts) + zone_count, width), dtype=np.int64)
-    part_exps = np.zeros((len(starts) + zone_count, width), dtype=np.int64)
-    part_cols[row, slot], part_exps[row, slot] = cols[at], exps[at]
+    zone, cols, exps = table[1, entry], table[2, entry], exps[factor]
+    powers, number = primes[factor] ** exps, index[factor]
+    group = np.zeros((zone_count, len(numbers)), dtype=np.intp)
     parts = []
     for zi in range(zone_count):
-        first, last = offset[zi] + zi, offset[zi + 1] + zi + 1
-        w = int(length[offset[zi] : offset[zi + 1]].max(initial=0))
-        parts.append((part_cols[first:last, :w], part_exps[first:last, :w]))
+        at = np.flatnonzero(zone == zi)
+        starts = np.flatnonzero(np.diff(number[at], prepend=-1))
+        value = np.multiply.reduceat(powers[at], starts) if len(at) else at
+        _, first, part = np.unique(value, return_index=True, return_inverse=True)
+        group[zi, number[at[starts]]] = part + 1
+        # the first run of each distinct part fills its row; row 0, the
+        # empty part, stays all zeros
+        length = np.diff(starts, append=len(at))[first]
+        used = np.arange(length.max(initial=0)) < length[:, None]
+        take = at[(starts[first, None] + np.arange(used.shape[1]))[used]]
+        part_cols = np.zeros((len(first) + 1, used.shape[1]), dtype=np.int64)
+        part_exps = np.zeros_like(part_cols)
+        part_cols[1:][used], part_exps[1:][used] = cols[take], exps[take]
+        parts.append((part_cols, part_exps))
     return parts, group
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import divdim
-from divdim import cli
+from divdim import cli, divposets
 from divdim.cli import main
 from divdim.primes import sieve_primes
 
@@ -324,6 +324,62 @@ def test_tampered_recipe_fails_fast(tmp_path, capsys, cert_2000, key, value):
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert "witness: ('zone" in err and f"(random-suitable)', '{key}" in err
+
+
+_KIND_DIFFERS = "kind differs from the recomputed plan's"
+
+
+def _swap_zones_1_and_2(data):
+    zones = data["zones"]
+    zones[1], zones[2] = zones[2], zones[1]
+
+
+# without the top zone, 67, its smallest prime, lies at or below every
+# number; eps 1.5 and the swap leave the coordinates a realiser
+@pytest.mark.parametrize(
+    "edit,integrity,prime",
+    [
+        (lambda d: d.update(zones=d["zones"][:-1]), [("plan", "expected 3 zones, found 2")], 67),
+        (lambda d: d.update(eps=1.5), [("plan", "eps must lie in (0, 1)")], None),
+        (
+            _swap_zones_1_and_2,
+            [
+                ("zone 1 (random-suitable)", f"{_KIND_DIFFERS} 'cover-free'"),
+                ("zone 2 (cover-free)", f"{_KIND_DIFFERS} 'random-suitable'"),
+            ],
+            None,
+        ),
+    ],
+    ids=["last-zone-dropped", "eps-1.5", "zones-1-and-2-swapped"],
+)
+def test_certificate_off_its_plan_fails_integrity(
+    tmp_path, capsys, cert_2000, edit, integrity, prime
+):
+    data = json.loads(json.dumps(cert_2000))
+    edit(data)
+    cert = tmp_path / "edited.json"
+    cert.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", "--cert", str(cert)]) == 1
+    out, err = capsys.readouterr()
+    kind = "coordinates-leq-but-not-divisible"
+    pairs = [] if prime is None else [(prime, b, kind) for b in range(1, 21)]
+    lines = out.splitlines()
+    assert [line for line in lines if line.startswith("  integrity: ")] == [
+        f"  integrity: {w}" for w in integrity
+    ]
+    assert [line for line in lines if line.startswith("  pair: ")] == [
+        f"  pair: {w}" for w in pairs
+    ]
+    assert err.splitlines() == [f"witness: {w}" for w in [*integrity[:5], *pairs[:5]]]
+
+
+def test_certify_out_of_retries_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(divposets, "RETRY_BUDGET", 0)
+    cert = tmp_path / "cert.json"
+    assert main(["certify", "--n", "1000", "--out", str(cert)]) == 3
+    assert capsys.readouterr().err.startswith("guard: zone 2: no suitable set found for ")
+    assert not cert.exists()
 
 
 def _divdim(*args, timeout, stdout=subprocess.PIPE, **env):
