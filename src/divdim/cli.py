@@ -56,6 +56,13 @@ def _capped(value: str) -> int:
     return n
 
 
+def _positive(value: str) -> int:
+    n = int(value)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _int_list(value: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in value.split(","))
@@ -274,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--primes", type=_int_list, help="comma-separated prime set restriction")
     p.add_argument("--squarefree", action="store_true")
     p.add_argument("--max-d", type=int, default=None)
-    p.add_argument("--max-size", type=int, default=DEFAULT_EXACT_GUARD)
+    p.add_argument("--max-size", type=_positive, default=DEFAULT_EXACT_GUARD)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_exact_dim)
 

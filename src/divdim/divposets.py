@@ -8,6 +8,7 @@ cover-free family, verified as poset embeddings.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import warnings
@@ -17,7 +18,7 @@ from typing import Iterator, Sequence
 from .base import DomainError, PreconditionError, RetryBudgetError, Verdict
 from .coverfree import SetFamily, greatest_prime_power
 from .multisets import Permutation
-from .posets import DEFAULT_EXACT_GUARD, FinitePoset
+from .posets import DEFAULT_EXACT_GUARD, FinitePoset, _coversets
 from .primes import PrimeTable
 from .rng import MASK64, SplitMix64, child_seed
 
@@ -614,21 +615,12 @@ def _first_containment_mismatch(
     ``verify_embedding`` for the map source[k] -> image[k] between the
     two containment orders: (a, b, "order-lost") when source[a] is
     contained in source[b] but image[a] not in image[b], (a, b,
-    "order-created") for the converse.  For each row a, the rows holding
-    all of a's elements are one bitmask over rows, the AND of each
-    element's column, so a row costs |a| big-int ANDs, not a scan of b.
+    "order-created") for the converse.  Each side's columns, the rows
+    holding each element as a bitmask, come from one ``_coversets``; the
+    rows holding all of a's elements are the AND of their columns, so a
+    row costs |a| big-int ANDs, not a scan of b.
     """
     everyone = (1 << len(source)) - 1
-
-    def columns(masks: Sequence[int]) -> dict[int, int]:
-        held: dict[int, int] = {}
-        for k, mask in enumerate(masks):
-            while mask:
-                low = mask & -mask
-                e = low.bit_length() - 1
-                held[e] = held.get(e, 0) | 1 << k
-                mask ^= low
-        return held
 
     def holding(mask: int, held: dict[int, int]) -> int:
         rows = everyone
@@ -638,7 +630,8 @@ def _first_containment_mismatch(
             mask ^= low
         return rows
 
-    source_held, image_held = columns(source), columns(image)
+    source_held = _coversets(source, functools.reduce(operator.or_, source, 0))
+    image_held = _coversets(image, functools.reduce(operator.or_, image, 0))
     for a, (mask, img) in enumerate(zip(source, image)):
         above = holding(mask, source_held)
         differ = above ^ holding(img, image_held)

@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 
 from .base import DomainError, PreconditionError, ResourceLimitError, Verdict
 from .posets import FinitePoset, LinearExtension, Realiser
+from .posets import _bits_of, _coversets, _greedy_clique
 from .rng import SplitMix64, child_seed
 
 MIN_SUITABLE_GUARD = 8
@@ -207,48 +208,13 @@ def verify_suitable(perms: Sequence[Permutation], family, ground=None) -> Verdic
     return Verdict(True)
 
 
-def _bits_of(mask: int) -> list[int]:
-    out = []
-    while mask:
-        out.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return out
-
-
 def _exclusion_clique(bits: list[int], coversets: dict[int, int]) -> int:
     """Constraints pairwise covered by no common mask; a cover lower bound."""
     exclusive = {
         b: {c for c in bits if c != b and coversets[b] & coversets[c] == 0}
         for b in bits
     }
-    best = 0
-    for start in sorted(bits, key=lambda b: -len(exclusive[b]))[:20]:
-        clique = [start]
-        cand = set(exclusive[start])
-        while cand:
-            nxt = max(cand, key=lambda b: len(exclusive[b] & cand))
-            clique.append(nxt)
-            cand &= exclusive[nxt]
-        best = max(best, len(clique))
-    return best
-
-
-def _coversets(masks: list[int], universe: int) -> dict[int, int]:
-    """For each constraint bit, the bitmask over mask indices of its covers.
-
-    One transpose instead of one big-int OR per (mask, bit): the masks are
-    packed byte by byte, each byte column is a strided slice of the packing,
-    and each bit of that column becomes a string of '0'/'1' read by int().
-    """
-    width = (universe.bit_length() + 7) // 8
-    packed = bytearray()
-    for mk in reversed(masks):  # mask 0 last, so it lands on bit 0
-        packed += (mk & universe).to_bytes(width, "little")
-    digits = [bytes(48 + (v >> t & 1) for v in range(256)) for t in range(8)]
-    return {
-        b: int(packed[b >> 3 :: width].translate(digits[b & 7]) or b"0", 2)
-        for b in _bits_of(universe)
-    }
+    return _greedy_clique(bits, exclusive, 20)
 
 
 def _undominated(rows: list[int]) -> list[int]:

@@ -459,6 +459,8 @@ def build_certificate(
     Deterministic in (plan, seed): zone z draws from child_seed(seed, z),
     and each randomized zone is verified before being recorded.
     """
+    if not 0 <= seed <= MASK64:
+        raise DomainError(f"seed {seed} is outside 0..2^64-1")
     if table.limit < pl.n:
         raise DomainError("prime table does not cover n")
     zones: list = []
@@ -735,7 +737,8 @@ def _integrity_failures(
 
     Each zone is derived from the recomputed plan, the master seed and,
     for a random-suitable zone, its recorded retry index, so any edit of
-    a recorded value shows up as a mismatch with the derivation.
+    a recorded value shows up as a mismatch with the derivation.  A seed
+    outside 0..2^64-1 is reported itself: the generator would alias it.
     """
     try:
         expected = plan(cert.n, cert.eps, table)
@@ -745,6 +748,8 @@ def _integrity_failures(
         found = f"expected {len(expected.zones)} zones, found {len(cert.zones)}"
         return [("plan", found)]
     problems: list[tuple] = []
+    if not 0 <= cert.seed <= MASK64:
+        problems.append(("seed", cert.seed))
     if cert.max_exponent != max(cert.n.bit_length() - 1, 0):
         problems.append(("max_exponent", cert.max_exponent))
     if cert.dimension != sum(z.dimension for z in cert.zones):

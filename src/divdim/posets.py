@@ -19,6 +19,52 @@ Element = Hashable
 
 DEFAULT_EXACT_GUARD = 25
 PRODUCT_SIZE_GUARD = 20_000
+# one string of '0'/'1' per bit t of a byte, indexed by the byte's value
+_DIGITS = [bytes(48 + (v >> t & 1) for v in range(256)) for t in range(8)]
+
+
+def _bits_of(mask: int) -> list[int]:
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
+
+
+def _coversets(masks: Sequence[int], universe: int) -> dict[int, int]:
+    """For each bit of ``universe``, ascending, the masks that hold it.
+
+    Each value is a bitmask over mask indices.  One transpose instead of
+    one big-int OR per (mask, bit): the masks are packed byte by byte, each
+    byte column is a strided slice of the packing, and each bit of that
+    column becomes a string of '0'/'1' read by int().
+    """
+    width = (universe.bit_length() + 7) // 8
+    packed = bytearray()
+    for mk in reversed(masks):  # mask 0 last, so it lands on bit 0
+        packed += (mk & universe).to_bytes(width, "little")
+    return {
+        b: int(packed[b >> 3 :: width].translate(_DIGITS[b & 7]) or b"0", 2)
+        for b in _bits_of(universe)
+    }
+
+
+def _greedy_clique(vertices: Iterable, adjacent, starts: int) -> int:
+    """Largest greedy clique from the ``starts`` highest-degree vertices.
+
+    ``adjacent[v]`` is v's set of neighbours.  Each step adds the candidate
+    adjacent to most others, so the size is a lower bound on the clique number.
+    """
+    best = 0
+    for start in sorted(vertices, key=lambda v: -len(adjacent[v]))[:starts]:
+        size = 1
+        cand = set(adjacent[start])
+        while cand:
+            nxt = max(cand, key=lambda v: len(adjacent[v] & cand))
+            size += 1
+            cand &= adjacent[nxt]
+        best = max(best, size)
+    return best
 
 
 class FinitePoset:
@@ -55,18 +101,14 @@ class FinitePoset:
         return elems, index
 
     def _finish(self, elems, index, rows):
-        n = len(elems)
-        down = [1 << j for j in range(n)]
-        for i in range(n):
-            m = rows[i] & ~(1 << i)
-            while m:
-                j = (m & -m).bit_length() - 1
-                m &= m - 1
-                if rows[j] >> i & 1:
-                    raise DomainError(
-                        f"antisymmetry violated between {elems[i]!r} and {elems[j]!r}"
-                    )
-                down[j] |= 1 << i
+        down = list(_coversets(rows, (1 << len(elems)) - 1).values())
+        for i, (row, col) in enumerate(zip(rows, down)):
+            cycle = row & col & ~(1 << i)
+            if cycle:
+                j = (cycle & -cycle).bit_length() - 1
+                raise DomainError(
+                    f"antisymmetry violated between {elems[i]!r} and {elems[j]!r}"
+                )
         self.elements = elems
         self._index = index
         self._up = tuple(rows)
@@ -290,29 +332,14 @@ def _conflict_clique(up: Sequence[int], pairs: list[tuple[int, int]]) -> int:
     Two pairs conflict when no single extension can realise both: forcing
     a<b and c<d closes a cycle exactly when b <= c and d <= a already hold.
     """
-
-    def conflict(p1, p2):
-        a, b = p1
-        c, d = p2
-        return bool(up[b] >> c & 1 and up[d] >> a & 1)
-
-    best = 0
     adj = [set() for _ in pairs]
-    for i, p1 in enumerate(pairs):
+    for i, (a, b) in enumerate(pairs):
         for j in range(i + 1, len(pairs)):
-            if conflict(p1, pairs[j]):
+            c, d = pairs[j]
+            if up[b] >> c & 1 and up[d] >> a & 1:
                 adj[i].add(j)
                 adj[j].add(i)
-    order = sorted(range(len(pairs)), key=lambda i: -len(adj[i]))
-    for start in order[:30]:
-        clique = [start]
-        cand = set(adj[start])
-        while cand:
-            nxt = max(cand, key=lambda i: len(adj[i] & cand))
-            clique.append(nxt)
-            cand &= adj[nxt]
-        best = max(best, len(clique))
-    return best
+    return _greedy_clique(range(len(pairs)), adj, 30)
 
 
 class _RealiserSearch:

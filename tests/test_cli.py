@@ -382,6 +382,39 @@ def test_certify_out_of_retries_exits_3_and_writes_nothing(tmp_path, capsys, mon
     assert not cert.exists()
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_certify_seed_outside_64_bits_exits_2_and_writes_nothing(tmp_path, capsys, seed):
+    # the generator masks its seed to 64 bits, so 2^64 would draw seed 0's zones
+    cert = tmp_path / "cert.json"
+    assert main(["certify", "--n", "1000", "--seed", str(seed), "--out", str(cert)]) == 2
+    assert capsys.readouterr().err == f"error: seed {seed} is outside 0..2^64-1\n"
+    assert not cert.exists()
+
+
+@pytest.mark.parametrize("seed", [2**64, -(2**64)])
+@pytest.mark.parametrize("mode", [[], ["--sampled", "500"]], ids=["exhaustive", "sampled"])
+def test_recorded_seed_outside_64_bits_fails_integrity(tmp_path, capsys, seed, mode):
+    # such a seed aliases seed 0, so every zone still matches its derivation
+    cert = tmp_path / "cert.json"
+    assert main(["certify", "--n", "1000", "--seed", "0", "--out", str(cert)]) == 0
+    data = json.loads(cert.read_text())
+    data["seed"] = seed
+    cert.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", "--cert", str(cert), *mode]) == 1
+    out, err = capsys.readouterr()
+    assert [line for line in out.splitlines() if line.startswith("  integrity: ")] == [
+        f"  integrity: ('seed', {seed})"
+    ]
+    assert err == f"witness: ('seed', {seed})\n"
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_exact_dim_max_size_below_1_is_a_usage_error(capsys, value):
+    assert main(["exact-dim", "--divisibility", "10", "--max-size", value]) == 2
+    assert f"argument --max-size: must be at least 1, got {value}" in capsys.readouterr().err
+
+
 def _divdim(*args, timeout, stdout=subprocess.PIPE, **env):
     """divdim run in a separate process, so a hang or a traceback shows."""
     src = str(Path(divdim.__file__).parent.parent)

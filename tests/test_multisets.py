@@ -1,6 +1,9 @@
+import functools
 import hashlib
 import itertools
+import operator
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -483,6 +486,25 @@ def test_kept_rows_match_the_quadratic_filter(rows):
 @settings(max_examples=100, deadline=None)
 def test_coversets_match_the_per_bit_loop(masks, universe):
     assert multisets._coversets(masks, universe) == per_bit_coversets(masks, universe)
+
+
+def random_cover(seed):
+    """A universe's bits and coversets, for masks drawn at quarter density."""
+    rng = random.Random(seed)
+    width = rng.randint(4, 40)
+    masks = [rng.getrandbits(width) & rng.getrandbits(width) for _ in range(rng.randint(3, 30))]
+    universe = functools.reduce(operator.or_, masks)
+    return multisets._bits_of(universe), multisets._coversets(masks, universe)
+
+
+def test_exclusion_clique_on_random_covers_is_pinned():
+    # _set_cover_exact skips its search when this lower bound reaches the
+    # greedy cover, so a smaller clique would only slow it down
+    cliques = [multisets._exclusion_clique(*random_cover(seed)) for seed in range(40)]
+    assert cliques == [
+        4, 4, 3, 3, 5, 3, 4, 6, 5, 4, 4, 3, 6, 6, 3, 3, 5, 7, 5, 3,
+        4, 3, 3, 4, 3, 3, 3, 4, 3, 5, 4, 2, 3, 5, 7, 6, 3, 2, 5, 7,
+    ]
 
 
 @pytest.mark.parametrize("n", range(2, 19))

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 from divdim.base import DomainError, ResourceLimitError
 from divdim.posets import (
     FinitePoset,
+    _conflict_clique,
+    _maximal_pairs,
     LinearExtension,
     exact_dimension,
     is_realiser,
@@ -58,6 +60,22 @@ def test_antisymmetry_violation_rejected():
         FinitePoset("ab", [("a", "b"), ("b", "a")])
     with pytest.raises(DomainError):
         FinitePoset("abc", [("a", "b"), ("b", "c"), ("c", "a")])
+
+
+@pytest.mark.parametrize(
+    "build,first",
+    [
+        (lambda: FinitePoset("abcd", [("c", "d"), ("d", "c"), ("a", "b"), ("b", "a")]), "'a' and 'b'"),
+        (lambda: FinitePoset("abcde", [("e", "b"), ("b", "e"), ("d", "c"), ("c", "d")]), "'b' and 'e'"),
+        (lambda: FinitePoset.from_predicate(range(4), lambda a, b: a % 2 == b % 2), "0 and 2"),
+        (lambda: FinitePoset.from_predicate(range(6), lambda a, b: a % 2 == b % 2), "0 and 2"),
+    ],
+)
+def test_antisymmetry_violation_names_the_first_pair(build, first):
+    # the first element in element order with a cycle partner, and its first partner
+    with pytest.raises(DomainError) as exc:
+        build()
+    assert str(exc.value) == f"antisymmetry violated between {first}"
 
 
 def test_duplicate_elements_rejected():
@@ -329,3 +347,19 @@ def test_definitional_oracle_on_known_posets():
     assert _definitional_dimension(divisibility(4)) == 2
     assert _definitional_dimension(chain(4)) == 1
     assert _definitional_dimension(antichain("abc")) == 2
+
+
+def test_conflict_clique_on_divisibility_is_pinned():
+    # exact_dimension starts its search at this lower bound, so a smaller
+    # clique would only slow the search and leave every result unchanged
+    cliques = []
+    for n in range(2, 21):
+        up = divisibility(n)._up
+        incomparable = [
+            (i, j)
+            for i in range(n)
+            for j in range(n)
+            if i != j and not up[i] >> j & 1 and not up[j] >> i & 1
+        ]
+        cliques.append(_conflict_clique(up, _maximal_pairs(up, incomparable)))
+    assert cliques == [0] + [2] * 12 + [3] * 6
