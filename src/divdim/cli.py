@@ -190,13 +190,9 @@ def _cmd_coverfree_verify(args) -> int:
         data = json.loads(Path(args.family).read_text())
     except ValueError as exc:
         raise DomainError(f"family file is not valid JSON: {exc}") from exc
+    mode = "exhaustive" if args.sampled is None else "sampled"
     family = SetFamily.from_json_dict(data)
-    if args.sampled is not None:
-        verdict = verify_cover_free(
-            family, args.r, mode="sampled", samples=args.sampled, seed=args.seed
-        )
-    else:
-        verdict = verify_cover_free(family, args.r)
+    verdict = verify_cover_free(family, args.r, mode=mode, samples=args.sampled, seed=args.seed)
     if not verdict:
         print(f"witness: {verdict.witness}", file=sys.stderr)
         print(f"not {args.r}-cover-free ({verdict.note})")

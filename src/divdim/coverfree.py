@@ -16,7 +16,7 @@ from functools import cached_property
 
 from .base import DomainError, O1_DROPPED_NOTE, ResourceLimitError, Verdict
 from .primes import is_prime, prime_power_base
-from .rng import SplitMix64
+from .rng import SplitMix64, check_seed
 
 FIELD_SIZE_GUARD = 1 << 16
 EXHAUSTIVE_CHECK_GUARD = 10**9
@@ -277,6 +277,7 @@ def verify_cover_free(
     if mode == "sampled":
         if not samples or samples < 1:
             raise DomainError("sampled mode needs a positive sample count")
+        check_seed(seed)
         if m <= r:
             return Verdict(
                 True, note=f"sampled; family of {m} members is vacuously {r}-cover-free"
@@ -402,12 +403,6 @@ class CoverBounds:
     uniform_upper: float | None = None
     overflowed: tuple[str, ...] = ()
     note: str = O1_DROPPED_NOTE
-
-    def to_json_dict(self) -> dict:
-        out = {}
-        for name, val in self.__dict__.items():
-            out[name] = list(val) if isinstance(val, tuple) else val
-        return out
 
 
 def _safe_exp(value: float) -> tuple[float, bool]:

@@ -20,7 +20,7 @@ from .coverfree import SetFamily, greatest_prime_power
 from .multisets import Permutation
 from .posets import DEFAULT_EXACT_GUARD, FinitePoset, _coversets
 from .primes import PrimeTable
-from .rng import MASK64, SplitMix64, child_seed
+from .rng import MASK64, SplitMix64, check_seed, child_seed
 
 RETRY_BUDGET = 8
 # Below this many draw outputs or (row, node) pairs, plain Python finishes
@@ -472,6 +472,7 @@ def random_suitable_interval(
         raise DomainError("a must be at least 2 so log a is positive")
     if not a < b <= n:
         raise DomainError("need a < b <= n")
+    check_seed(seed)
     primes = table.primes_in(a, b)
     if not primes:
         raise DomainError(f"no primes in ({a}, {b}]")
@@ -518,33 +519,6 @@ class CoverFreeEmbedding:
     family: SetFamily
     primes: tuple[int, ...]
     assignment: tuple[int, ...]
-
-    @property
-    def ground_size(self) -> int:
-        return self.family.ground_size
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "a": self.a,
-            "b": self.b,
-            "r": self.r,
-            "primes": list(self.primes),
-            "assignment": list(self.assignment),
-            "family": self.family.to_json_dict(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "CoverFreeEmbedding":
-        return cls(
-            n=int(data["n"]),
-            a=data["a"],
-            b=data["b"],
-            r=int(data["r"]),
-            family=SetFamily.from_json_dict(data["family"]),
-            primes=tuple(data["primes"]),
-            assignment=tuple(data["assignment"]),
-        )
 
 
 def _log_at_least(base: float, exponent: int, n: int) -> bool:

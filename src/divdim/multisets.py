@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 from .base import DomainError, PreconditionError, ResourceLimitError, Verdict
 from .posets import FinitePoset, LinearExtension, Realiser
 from .posets import _bits_of, _coversets, _greedy_clique
-from .rng import SplitMix64, child_seed
+from .rng import SplitMix64, check_seed, child_seed
 
 MIN_SUITABLE_GUARD = 8
 # largest multiplicity of an element in a random_downset maximum
@@ -147,9 +147,6 @@ class Permutation:
     def rank_map(self) -> dict:
         return {x: i for i, x in enumerate(self.order)}
 
-    def rank(self, x) -> int:
-        return self.rank_map[x]
-
 
 @dataclass(frozen=True)
 class SuitableSet:
@@ -157,9 +154,6 @@ class SuitableSet:
 
     perms: tuple[Permutation, ...]
     target: tuple[frozenset, ...]
-
-    def __len__(self) -> int:
-        return len(self.perms)
 
 
 def _normalize_family(family, ground=None) -> tuple[tuple[frozenset, ...], tuple]:
@@ -481,6 +475,7 @@ def random_downset(
     Redraws (with derived child seeds) until the closure fits in
     ``max_members``, so the result is always oracle-sized.
     """
+    check_seed(seed)
     ground = tuple(ground)
     for attempt in range(64):
         rng = SplitMix64(child_seed(seed, attempt))

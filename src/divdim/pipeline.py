@@ -31,7 +31,7 @@ from .divposets import (
     suitable_draw_size,
 )
 from .primes import PrimeTable, factorize_many, prime_power_base, sieve_primes
-from .rng import MASK64, SplitMix64, accept_limit, child_seed
+from .rng import MASK64, SplitMix64, accept_limit, check_seed, child_seed
 
 SCHEMA_VERSION = 1
 CERTIFICATE_FORMAT = "divdim-certificate"
@@ -459,8 +459,7 @@ def build_certificate(
     Deterministic in (plan, seed): zone z draws from child_seed(seed, z),
     and each randomized zone is verified before being recorded.
     """
-    if not 0 <= seed <= MASK64:
-        raise DomainError(f"seed {seed} is outside 0..2^64-1")
+    check_seed(seed)
     if table.limit < pl.n:
         raise DomainError("prime table does not cover n")
     zones: list = []
@@ -838,31 +837,28 @@ def _sample_pairs(n: int, count: int, seed: int) -> Iterator:
     then b the same way from SplitMix64(seed), skipping a == b.  Here
     the outputs come a block at a time; those in randbelow's rejection
     region are dropped, consecutive accepted outputs pair up as (a, b),
-    and pairs with a == b are dropped.  The pairs come as two uint64
-    arrays of at most SAMPLE_BATCH each; accepted outputs left over
-    wait for the next batch.  Needs 2 <= n < 2^64.
+    an odd last one waits for the next block, and pairs with a == b are
+    dropped.  With that one, a block holds at most 2 * min(count,
+    SAMPLE_BATCH) outputs, so it yields at most min(count, SAMPLE_BATCH)
+    pairs, as two uint64 arrays, or nothing.  Needs 2 <= n < 2^64.
     """
     import numpy as np
 
     rng = SplitMix64(seed)
     limit = accept_limit(n)
-    values = np.empty(0, dtype=np.uint64)  # accepted draws not yet used, in [1, n]
+    carry = np.empty(0, dtype=np.uint64)  # an accepted draw in [1, n] without its b
     while count:
-        want = min(count, SAMPLE_BATCH)
-        while True:
-            half = len(values) // 2
-            a, b = values[: 2 * half : 2], values[1 : 2 * half : 2]
-            kept = np.flatnonzero(a != b)
-            if len(kept) >= want:
-                break
-            block = rng.next_block(2 * (want - len(kept)) + 16)
-            if limit <= MASK64:
-                block = block[block < np.uint64(limit)]
-            values = np.concatenate([values, block % np.uint64(n) + np.uint64(1)])
-        used = kept[:want]
-        yield a[used], b[used]
-        values = values[2 * used[-1] + 2 :]
-        count -= want
+        block = rng.next_block(2 * min(count, SAMPLE_BATCH) - len(carry))
+        if limit <= MASK64:
+            block = block[block < np.uint64(limit)]
+        values = np.concatenate([carry, block % np.uint64(n) + np.uint64(1)])
+        half = len(values) // 2
+        a, b = values[: 2 * half : 2], values[1 : 2 * half : 2]
+        carry = values[2 * half :]
+        kept = a != b
+        if kept.any():
+            yield a[kept], b[kept]
+            count -= int(kept.sum())
 
 
 def _below_everywhere(zones: list[_Zone], table, a, b):
@@ -903,7 +899,7 @@ def _below_everywhere(zones: list[_Zone], table, a, b):
 def _verify_sampled(
     cert: RealiserCertificate, samples: int, sample_seed: int
 ) -> tuple[int, list[tuple]]:
-    """Check ``samples`` drawn pairs, SAMPLE_BATCH at a time.
+    """Check ``samples`` drawn pairs, at most SAMPLE_BATCH at a time.
 
     Stops at the 20th failure, and then counts the pairs up to it.
     """
@@ -948,11 +944,11 @@ def verify_certificate(
     matrix from ``_colex_places``.  The exhaustive scan (n <= 2000)
     builds the relation as packed bitsets: n²/8 bytes for the up-sets
     plus the n × n booleans of divisibility.  Sampled mode draws and
-    checks SAMPLE_BATCH pairs at a time, so beyond the certificate and
-    its rank rows as one array per zone its memory does not grow with N;
-    it stops at the batch that holds the 20th failure.  The report times
-    the integrity phase (with the prime table) and the functional phase
-    apart.
+    checks at most SAMPLE_BATCH pairs at a time, so beyond the
+    certificate and its rank rows as one array per zone its memory does
+    not grow with N; it stops at the batch that holds the 20th failure.
+    The report times the integrity phase (with the prime table) and the
+    functional phase apart.
     """
     start = time.perf_counter()
     if mode not in ("exhaustive", "sampled"):
@@ -962,8 +958,10 @@ def verify_certificate(
             f"exhaustive mode is guarded at n <= {EXHAUSTIVE_VERIFY_GUARD} "
             f"(n={cert.n}); use sampled mode"
         )
-    if mode == "sampled" and (not samples or samples < 1):
-        raise DomainError("sampled mode needs a positive sample count")
+    if mode == "sampled":
+        if not samples or samples < 1:
+            raise DomainError("sampled mode needs a positive sample count")
+        check_seed(sample_seed)
     if table is None:
         table = sieve_primes(max(cert.n, 2))
     notes: list[str] = []

@@ -161,9 +161,6 @@ class LinearExtension:
 
     order: tuple
 
-    def position(self, e) -> int:
-        return self.order.index(e)
-
 
 @dataclass(frozen=True)
 class Realiser:
@@ -172,9 +169,6 @@ class Realiser:
     def __post_init__(self):
         if not self.extensions:
             raise DomainError("a realiser must contain at least one extension")
-
-    def __len__(self) -> int:
-        return len(self.extensions)
 
 
 @dataclass(frozen=True)
@@ -230,19 +224,14 @@ def is_realiser(poset: FinitePoset, extensions: Sequence) -> Verdict:
     return Verdict(True)
 
 
-def verify_embedding(
-    p: FinitePoset, q: FinitePoset, mapping: Mapping | Callable
-) -> Verdict:
+def verify_embedding(p: FinitePoset, q: FinitePoset, mapping: Mapping) -> Verdict:
     """Check phi(a) <=_Q phi(b) iff a <=_P b for every ordered pair.
 
     False verdicts carry (a, b, "order-lost") when a <= b is not
     preserved, or (a, b, "order-created") when an incomparability is
     collapsed.
     """
-    if callable(mapping) and not isinstance(mapping, Mapping):
-        phi = {e: mapping(e) for e in p.elements}
-    else:
-        phi = dict(mapping)
+    phi = dict(mapping)
     for e in p.elements:
         if e not in phi:
             raise DomainError(f"map is not total: {e!r} has no image")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -62,7 +63,7 @@ def sieve_primes(limit: int) -> PrimeTable:
         if flags[p]:
             start = p * p
             flags[start : limit + 1 : p] = b"\x00" * ((limit - start) // p + 1)
-    primes = tuple(i for i in range(2, limit + 1) if flags[i])
+    primes = tuple(itertools.compress(range(limit + 1), flags))
     return PrimeTable(limit=limit, primes=primes, flags=bytes(flags))
 
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 import struct
 from typing import Iterator
 
+from .base import DomainError
+
 MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
@@ -26,6 +28,12 @@ _LANE = struct.Struct("<" + "Q8x" * LANES)
 _ONES = int.from_bytes(b"\x01".ljust(16, b"\0") * LANES, "little")  # 1 in every lane
 _LOW = _ONES * MASK64
 _STEPS = _GAMMA * int.from_bytes(_LANE.pack(*range(1, LANES + 1)), "little")  # (k+1)*gamma
+
+
+def check_seed(seed: int) -> None:
+    """Reject a seed that SplitMix64 would alias by masking it to 64 bits."""
+    if not 0 <= seed <= MASK64:
+        raise DomainError(f"seed {seed} is outside 0..2^64-1")
 
 
 def accept_limit(bound: int) -> int:

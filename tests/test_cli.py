@@ -391,6 +391,22 @@ def test_certify_seed_outside_64_bits_exits_2_and_writes_nothing(tmp_path, capsy
     assert not cert.exists()
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_every_seed_option_outside_64_bits_exits_2(tmp_path, capsys, seed):
+    cert, fam, out = tmp_path / "cert.json", tmp_path / "fam.json", tmp_path / "s.json"
+    assert main(["certify", "--n", "60", "--out", str(cert)]) == 0
+    assert main(["coverfree", "build", "--q", "4", "--h", "1", "--json", str(fam)]) == 0
+    capsys.readouterr()
+    for argv in (
+        ["suitable", "--n", "1000", "--a", "10", "--b", "1000", "--json", str(out)],
+        ["verify", "--cert", str(cert), "--sampled", "50"],
+        ["coverfree", "verify", "--family", str(fam), "--r", "3", "--sampled", "10"],
+    ):
+        assert main([*argv, "--seed", str(seed)]) == 2, argv
+        assert capsys.readouterr() == ("", f"error: seed {seed} is outside 0..2^64-1\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("seed", [2**64, -(2**64)])
 @pytest.mark.parametrize("mode", [[], ["--sampled", "500"]], ids=["exhaustive", "sampled"])
 def test_recorded_seed_outside_64_bits_fails_integrity(tmp_path, capsys, seed, mode):

@@ -1,4 +1,3 @@
-import json
 import random
 
 import pytest
@@ -304,17 +303,6 @@ def test_squarefree_support_sets_match_enumeration():
     sets = squarefree_support_sets((2, 3, 5), 30)
     assert len(sets) == 8
     assert frozenset() in sets and frozenset({2, 3, 5}) in sets
-
-
-def test_embedding_json_round_trip():
-    from divdim.divposets import CoverFreeEmbedding
-
-    family = eff_family(build_field(3, 1), 1)
-    embedding, _ = coverfree_embedding(9, 3, 31, family, 2, TABLE)
-    again = CoverFreeEmbedding.from_json_dict(
-        json.loads(json.dumps(embedding.to_json_dict()))
-    )
-    assert again == embedding
 
 
 def test_interval_set_json_lists_primes_and_ranks():

@@ -7,7 +7,14 @@ import pytest
 
 from divdim import pipeline
 from divdim.base import DomainError, ResourceLimitError
-from divdim.divposets import DivPosetSpec, build_div_poset, coverfree_embedding
+from divdim.coverfree import build_field, eff_family, verify_cover_free
+from divdim.divposets import (
+    DivPosetSpec,
+    build_div_poset,
+    coverfree_embedding,
+    random_suitable_interval,
+)
+from divdim.multisets import random_downset
 from divdim.pipeline import (
     RealiserCertificate,
     _verify_exhaustive,
@@ -249,6 +256,31 @@ def test_seed_mismatch_is_integrity_failure():
     report = verify_certificate(mutated, table)
     assert not report.ok
     assert any("seed" in str(w) for w in report.integrity_failures)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_every_seeded_entry_point_rejects_a_seed_outside_64_bits(monkeypatch, seed):
+    # SplitMix64 masks its seed to 64 bits, so 2^64 would replay seed 0's draws
+    cert, table = cert_for(60)
+    family = eff_family(build_field(2, 2), 1)
+    calls = [
+        lambda: build_certificate(plan(60, 0.5, table), seed, table),
+        lambda: verify_certificate(cert, mode="sampled", samples=10, sample_seed=seed),
+        lambda: random_suitable_interval(1000, 10, 1000, seed, TABLE),
+        lambda: random_downset((0, 1), seed),
+        lambda: verify_cover_free(family, 3, mode="sampled", samples=10, seed=seed),
+    ]
+    monkeypatch.setattr(pipeline, "sieve_primes", None)  # verify checks before it sieves
+    for call in calls:
+        with pytest.raises(DomainError, match=rf"^seed {seed} is outside 0\.\.2\^64-1$"):
+            call()
+
+
+def test_seeds_at_either_end_of_the_64_bit_range_are_accepted():
+    _, table = cert_for(60)
+    for seed in (0, 2**64 - 1):
+        build_certificate(plan(60, 0.5, table), seed, table)
+        random_downset((0, 1), seed)
 
 
 def test_certificate_dimension_dominates_exact_dimension():

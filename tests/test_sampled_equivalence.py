@@ -262,7 +262,7 @@ def drawn_pairs(n, count, seed):
 
 # 2^63 + 1 rejects about half of all outputs; a power of two rejects none
 @pytest.mark.parametrize("n", [2, 3, 1000, 10**5, 2**40, 2**63, 2**63 + 1, 2**64 - 1])
-@pytest.mark.parametrize("batch", [3, 4096])
+@pytest.mark.parametrize("batch", [1, 3, 4096])
 def test_sample_pairs_follow_the_scalar_stream(monkeypatch, n, batch):
     monkeypatch.setattr(pipeline, "SAMPLE_BATCH", batch)
     for seed in (0, 5):
