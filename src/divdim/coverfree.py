@@ -255,6 +255,8 @@ def verify_cover_free(
     """
     if r < 1:
         raise DomainError("r must be positive")
+    # exhaustive mode draws nothing, but refuses an out-of-range seed all the same
+    check_seed(seed)
     masks = family.masks()
     m = len(masks)
     if mode == "exhaustive":
@@ -277,7 +279,6 @@ def verify_cover_free(
     if mode == "sampled":
         if not samples or samples < 1:
             raise DomainError("sampled mode needs a positive sample count")
-        check_seed(seed)
         if m <= r:
             return Verdict(
                 True, note=f"sampled; family of {m} members is vacuously {r}-cover-free"

@@ -76,8 +76,12 @@ def smooth_nodes(
     largest index while the product stays <= n (k = 1 alone when
     ``squarefree``).  The indices ascend and repeat for prime powers.
     ``primes`` must be ascending: the first prime that takes a product
-    past n ends the scan, so each step yields a node or stops.
+    past n ends the scan, so each step yields a node or stops.  A node
+    that no larger prime extends, such as each prime of a zone above
+    sqrt(n), is a leaf and is yielded inline rather than by a recursive
+    generator of its own.
     """
+    last = len(primes) - 1
 
     def rec(start: int, value: int, indices: tuple[int, ...]):
         yield value, indices
@@ -87,7 +91,10 @@ def smooth_nodes(
                 break
             ind = indices + (i,)
             while v <= n:
-                yield from rec(i + 1, v, ind)
+                if i == last or v * primes[i + 1] > n:
+                    yield v, ind
+                else:
+                    yield from rec(i + 1, v, ind)
                 if squarefree:
                     break
                 v *= primes[i]
@@ -397,7 +404,11 @@ def _block_rejects(values, bounds) -> bool:
 
 
 def _inverse(order: list[int], positions: list[int]) -> list[int]:
-    """Ranks of a shuffled order, sharing the int objects of ``positions``."""
+    """Ranks of a shuffled order, sharing the int objects of ``positions``.
+
+    Only the Python suitability check uses it, to list each row's primes
+    by rank; the draw yields ranks directly.
+    """
     ranks = [0] * len(order)
     for position, idx in zip(positions, order):
         ranks[idx] = position
@@ -409,9 +420,13 @@ def draw_interval_perms(
 ) -> list[list[int]]:
     """Re-derivable draw of ``count`` uniform rank rows for one retry.
 
-    Row j is a Fisher-Yates shuffle of range(len(primes)) consuming the
-    stream's outputs j*(L-1) .. (j+1)*(L-1)-1, as ``SplitMix64.shuffle``
-    would.  Those outputs come from one block; should any be rejected by
+    Row j holds the ranks of the Fisher-Yates shuffle of range(len(primes))
+    that consumes the stream's outputs j*(L-1) .. (j+1)*(L-1)-1, as
+    ``SplitMix64.shuffle`` would.  The shuffle's swaps (i, j_i) for
+    i = L-1 .. 1, applied to range(L) in reverse order (i = 1 .. L-1),
+    give its inverse, so the ranks are drawn directly.  Every value is
+    one of the int objects of a single range(L) list, shared by all rows.
+    The outputs come from one block; should any be rejected by
     ``randbelow`` (probability about L/2**64 each), or should the draw be
     small, the swaps are drawn one ``randbelow`` at a time instead.
     """
@@ -432,10 +447,10 @@ def draw_interval_perms(
         swaps = ([rng.randbelow(b) for b in range(length, 1, -1)] for _ in range(count))
     rows = []
     for row_swaps in swaps:
-        order = positions[:]
-        for i, j in zip(range(length - 1, 0, -1), row_swaps):
-            order[i], order[j] = order[j], order[i]
-        rows.append(_inverse(order, positions))
+        ranks = positions[:]
+        for i, j in zip(range(1, length), reversed(row_swaps)):
+            ranks[i], ranks[j] = ranks[j], ranks[i]
+        rows.append(ranks)
     return rows
 
 

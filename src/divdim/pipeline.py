@@ -953,6 +953,8 @@ def verify_certificate(
     start = time.perf_counter()
     if mode not in ("exhaustive", "sampled"):
         raise DomainError(f"unknown mode {mode!r}")
+    # exhaustive mode draws nothing, but refuses an out-of-range seed all the same
+    check_seed(sample_seed)
     if mode == "exhaustive" and cert.n > EXHAUSTIVE_VERIFY_GUARD:
         raise ResourceLimitError(
             f"exhaustive mode is guarded at n <= {EXHAUSTIVE_VERIFY_GUARD} "
@@ -961,7 +963,6 @@ def verify_certificate(
     if mode == "sampled":
         if not samples or samples < 1:
             raise DomainError("sampled mode needs a positive sample count")
-        check_seed(sample_seed)
     if table is None:
         table = sieve_primes(max(cert.n, 2))
     notes: list[str] = []

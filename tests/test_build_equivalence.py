@@ -425,6 +425,28 @@ def test_rejection_fallback_keeps_rows(monkeypatch, block):
     assert calls == [(5, 49)]
 
 
+@pytest.mark.parametrize("length", [1, 2, 3, 257])
+@pytest.mark.parametrize("fallback", [False, True], ids=["block", "rejection-fallback"])
+def test_draw_equals_scalar_draw_on_either_path(length, fallback, path, monkeypatch):
+    # the rank rows are the shuffle's swaps applied in reverse; that must
+    # give the inverse of each shuffled order, whichever source the swaps have
+    if fallback:
+        monkeypatch.setattr(divposets, "_block_rejects", lambda values, bounds: True)
+    primes = tuple(range(length))
+    for seed, retry in ((0, 0), (5, 2), (MASK64, 1)):
+        for count in (1, 3, 40):
+            assert draw_interval_perms(primes, seed, retry, count) == scalar_draw(
+                length, seed, retry, count
+            )
+
+
+def test_drawn_rows_share_one_int_object_per_rank():
+    # 40 rows of the n = 10^5 top zone's length hold only the 9,515 ints
+    # of one range list, so the recorded rows cost no memory per value
+    rows = draw_interval_perms(tuple(range(9515)), 0, 0, 40)
+    assert len({id(v) for row in rows for v in row}) == 9515
+
+
 def test_block_rejection_region_matches_randbelow():
     import numpy as np
 

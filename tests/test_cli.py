@@ -401,6 +401,9 @@ def test_every_seed_option_outside_64_bits_exits_2(tmp_path, capsys, seed):
         ["suitable", "--n", "1000", "--a", "10", "--b", "1000", "--json", str(out)],
         ["verify", "--cert", str(cert), "--sampled", "50"],
         ["coverfree", "verify", "--family", str(fam), "--r", "3", "--sampled", "10"],
+        # exhaustive mode draws nothing, and refuses the seed all the same
+        ["verify", "--cert", str(cert)],
+        ["coverfree", "verify", "--family", str(fam), "--r", "3"],
     ):
         assert main([*argv, "--seed", str(seed)]) == 2, argv
         assert capsys.readouterr() == ("", f"error: seed {seed} is outside 0..2^64-1\n")

@@ -24,6 +24,7 @@ from divdim.divposets import (
 from divdim.multisets import min_suitable
 from divdim.posets import exact_dimension
 from divdim.primes import factorize, sieve_primes
+from zone_reference import smooth_nodes as reference_smooth_nodes
 
 TABLE = sieve_primes(10**4)
 
@@ -115,6 +116,8 @@ def test_smooth_nodes_match_a_scan_of_n(primes, n, squarefree):
         ]
 
     nodes = list(smooth_nodes(primes, n, squarefree))
+    # the same walk order, not only the same nodes
+    assert nodes == list(reference_smooth_nodes(primes, n, squarefree))
     expected = qualifying(squarefree)
     # each qualifying m once: the scan's list has no repeats
     assert sorted(m for m, _ in nodes) == expected
@@ -125,6 +128,24 @@ def test_smooth_nodes_match_a_scan_of_n(primes, n, squarefree):
     assert list(smooth_preorder(primes, n, squarefree)) == [m for m, _ in nodes]
     assert smooth_numbers(primes, n, squarefree=squarefree) == expected
     assert squarefree_support_sets(primes, n) == [frozenset(FACTORS[m]) for m in qualifying(True)]
+
+
+@pytest.mark.parametrize(
+    "primes,n",
+    [
+        ((2, 3, 5), 30),  # 6 * 5 == n: the node 6 extends to exactly n
+        ((2, 3, 5), 29),  # and here it is a leaf
+        ((7,), 100),
+        ((), 10),
+        ((2, 3), 1),
+        ((2, 3), 72),  # 72 = 2^3 * 3^2: prime powers on both primes
+    ],
+)
+@pytest.mark.parametrize("squarefree", [True, False])
+def test_smooth_nodes_keep_the_walk_order(primes, n, squarefree):
+    assert list(smooth_nodes(primes, n, squarefree)) == list(
+        reference_smooth_nodes(primes, n, squarefree)
+    )
 
 
 # --- the squarefree reduction on real divisibility posets -------------------

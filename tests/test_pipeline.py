@@ -269,6 +269,8 @@ def test_every_seeded_entry_point_rejects_a_seed_outside_64_bits(monkeypatch, se
         lambda: random_suitable_interval(1000, 10, 1000, seed, TABLE),
         lambda: random_downset((0, 1), seed),
         lambda: verify_cover_free(family, 3, mode="sampled", samples=10, seed=seed),
+        lambda: verify_certificate(cert, sample_seed=seed),
+        lambda: verify_cover_free(family, 3, seed=seed),
     ]
     monkeypatch.setattr(pipeline, "sieve_primes", None)  # verify checks before it sieves
     for call in calls:
