@@ -236,6 +236,8 @@ def _cmd_bounds(args) -> int:
     certs = {}
     if args.cert:
         cert = RealiserCertificate.loads(Path(args.cert).read_text())
+        if cert.n not in args.n:
+            raise DomainError(f"the certificate is for n={cert.n}, which --n does not list")
         certs[cert.n] = cert.dimension
     rows = bound_table(args.n, args.eps, certs)
     if args.json:

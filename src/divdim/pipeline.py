@@ -13,12 +13,12 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field, fields
-from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 from . import divposets
-from .base import DomainError, O1_DROPPED_NOTE, ResourceLimitError, RetryBudgetError
+from .base import DomainError, O1_DROPPED_NOTE, RetryBudgetError
 from .coverfree import SetFamily, build_field, eff_family
 from .divposets import (
     RETRY_BUDGET,
@@ -35,7 +35,6 @@ from .rng import MASK64, SplitMix64, accept_limit, check_seed, child_seed
 
 SCHEMA_VERSION = 1
 CERTIFICATE_FORMAT = "divdim-certificate"
-EXHAUSTIVE_VERIFY_GUARD = 2000
 # ordered pairs the sampled verifier checks at once; its memory is
 # O(SAMPLE_BATCH), whatever the sample count
 SAMPLE_BATCH = 4096
@@ -228,11 +227,12 @@ class CoverFreeZoneCert:
         For each ground permutation sigma, primes are ordered by the
         colex key of their assigned member set (each element with
         exponent 1); that family of orderings is suitable for the zone's
-        squarefree supports.  The build checks these rows and both
-        verifiers evaluate them.  A zone below ``divposets.NUMPY_MIN_WORK``
-        colex codes (rows × summed member sizes) is ranked in Python by
-        ``_colex_ranks``, so a small build runs without numpy; a larger
-        one by ``tau_places``.  The rows are the same.
+        squarefree supports.  The build and exhaustive verify check
+        these rows; sampled verify evaluates them.  A zone below
+        ``divposets.NUMPY_MIN_WORK`` colex codes (rows × summed member
+        sizes) is ranked in Python by ``_colex_ranks``, so a small build
+        or verify runs without numpy; a larger one by ``tau_places``.
+        The rows are the same.
         """
         members = self._members()
         if len(self.sigma_ranks) * sum(map(len, members)) < divposets.NUMPY_MIN_WORK:
@@ -242,8 +242,8 @@ class CoverFreeZoneCert:
     def tau_places(self):
         """The rows of ``tau_rank_rows`` as one int64 matrix, from ``_colex_places``.
 
-        That is whatever the zone's size: the verifiers, which import
-        numpy anyway, take the rows from here.
+        That is whatever the zone's size: sampled verify, which imports
+        numpy anyway, takes the rows from here.
         """
         return _colex_places(_rank_matrix(self.sigma_ranks), _padded(self._members()))
 
@@ -789,44 +789,49 @@ def _failure_kind(a: int, b: int) -> str:
 
 
 def _verify_exhaustive(
-    cert: RealiserCertificate, report_notes: list[str]
+    cert: RealiserCertificate, table: PrimeTable
 ) -> tuple[int, list[tuple]]:
-    """Compare the relation the coordinates give with divisibility on 1..n.
+    """Prove all ordered pairs of 1..n zone by zone, without building the relation.
 
-    A coordinate of a zone reads only m's part on the zone's primes, so
-    the relation is built zone by zone: rank each distinct part under
-    every row, take the parts a part lies at or below in all rows, and
-    AND each m's up-set, packed eight numbers a byte, into ``up``.
-    Memory is n²/8 bytes for ``up`` plus the n × n booleans of
-    ``divides``.
+    With permutation rows, m | m' puts m at or below m' in every colex
+    coordinate, and when p^e divides m but not m', a row ranking p above
+    each prime of p's zone where m' has the larger exponent puts m above
+    m'.  So the coordinates realise divisibility exactly when the zones
+    partition the primes up to n and each zone's rows pass
+    ``check_interval_suitability``, whose witness (s, p) is the failing
+    pair (p, s); a prime in no zone fails as (p, 1).  A zone recording a
+    prime more than once, a number that is not a prime up to n, or rows
+    that are not permutations gets one line naming it.  Chains always pass.
     """
-    import numpy as np
-
     n = cert.n
-    zones = certificate_zones(cert)
-    parts, groups = _zone_parts(_zone_table(zones), len(zones), np.arange(1, n + 1))
-    up = np.full((n, (n + 7) // 8), 0xFF, dtype=np.uint8)  # [a-1] packs {b : a <= b}
-    for (_, rows), zone_parts, group in zip(zones, parts, groups):
-        places = _colex_places(_rank_matrix(rows), zone_parts)
-        below = np.ones((places.shape[1], places.shape[1]), dtype=bool)
-        for place in places:
-            below &= place[:, None] <= place[None, :]
-        up &= np.packbits(below[:, group], axis=1)[group]
-    divides = np.zeros((n, n), dtype=bool)
-    for a in range(1, n + 1):
-        divides[a - 1, a - 1 :: a] = True
-    # the diagonal never differs: every row ranks a part at or below itself
-    differ = up ^ np.packbits(divides, axis=1)
-    cells = (
-        (int(i) + 1, int(j) + 1)
-        for i in np.flatnonzero(differ.any(axis=1))
-        for j in np.flatnonzero(np.unpackbits(differ[i], count=n))
-    )
-    # a 21st failure tells the list is cut
-    failures = [(a, b, _failure_kind(a, b)) for a, b in islice(cells, 21)]
-    if len(failures) > 20:
-        failures = failures[:20]
-        report_notes.append("failure list truncated at 20")
+    if n < 2:
+        return 0, []
+    primes = table.primes_in(0, n)
+    recorded = Counter(p for zone in cert.zones for p in zone.primes)
+    missing = next((p for p in primes if p not in recorded), None)
+    failures = [] if missing is None else [(missing, 1, _failure_kind(missing, 1))]
+    expected = set(primes)
+    for zi, zone in enumerate(cert.zones):
+        name = f"zone {zi} ({zone.kind})"
+        bad = next((p for p in zone.primes if recorded[p] > 1 or p not in expected), None)
+        if bad is not None:
+            why = "recorded more than once" if recorded[bad] > 1 else f"not a prime up to n={n}"
+            failures.append((name, f"{bad} is {why}"))
+            continue
+        if zone.kind == "chains":
+            continue
+        order = sorted(range(len(zone.primes)), key=zone.primes.__getitem__)
+        rows = zone.ranks if zone.kind == "random-suitable" else zone.tau_rank_rows()
+        if order != sorted(order):
+            rows = [[row[i] for i in order] for row in rows]
+        try:
+            verdict = check_interval_suitability(n, [zone.primes[i] for i in order], rows)
+        except DomainError as exc:  # a row that is not a permutation, or no rows
+            failures.append((name, str(exc)))
+            continue
+        if not verdict:
+            s, p = verdict.witness
+            failures.append((p, s, _failure_kind(p, s)))
     return n * n - n, failures
 
 
@@ -937,17 +942,14 @@ def verify_certificate(
     from seeds and families from field parameters, so any mutation of
     recorded data is reported even when redundant coordinates would mask
     it functionally.  The functional phase then checks m | m' iff
-    coordinatewise <= on all ordered pairs or on N sampled pairs.  Both
-    modes take a cover-free zone's rows from ``tau_places`` (the rows of
-    ``tau_rank_rows``), split the numbers into zone parts named by value
-    with ``_zone_parts``, and read each zone's (rows × parts) place
-    matrix from ``_colex_places``.  The exhaustive scan (n <= 2000)
-    builds the relation as packed bitsets: n²/8 bytes for the up-sets
-    plus the n × n booleans of divisibility.  Sampled mode draws and
-    checks at most SAMPLE_BATCH pairs at a time, so beyond the
-    certificate and its rank rows as one array per zone its memory does
-    not grow with N; it stops at the batch that holds the 20th failure.
-    The report times the integrity phase (with the prime table) and the
+    coordinatewise <= on all ordered pairs or on N sampled pairs.
+    Exhaustive mode proves all n·(n−1) pairs through the zones with the
+    build's own suitability check (``_verify_exhaustive``), one line per
+    failing zone.  Sampled mode evaluates the coordinates themselves
+    (``_below_everywhere``), at most SAMPLE_BATCH pairs at a time, so
+    beyond the certificate and its rank rows its memory does not grow
+    with N; it stops at the batch that holds the 20th failure.  The
+    report times the integrity phase (with the prime table) and the
     functional phase apart.
     """
     start = time.perf_counter()
@@ -955,24 +957,19 @@ def verify_certificate(
         raise DomainError(f"unknown mode {mode!r}")
     # exhaustive mode draws nothing, but refuses an out-of-range seed all the same
     check_seed(sample_seed)
-    if mode == "exhaustive" and cert.n > EXHAUSTIVE_VERIFY_GUARD:
-        raise ResourceLimitError(
-            f"exhaustive mode is guarded at n <= {EXHAUSTIVE_VERIFY_GUARD} "
-            f"(n={cert.n}); use sampled mode"
-        )
     if mode == "sampled":
         if not samples or samples < 1:
             raise DomainError("sampled mode needs a positive sample count")
     if table is None:
         table = sieve_primes(max(cert.n, 2))
-    notes: list[str] = []
     integrity = _integrity_failures(cert, table)
     middle = time.perf_counter()
+    notes = ()
     if mode == "exhaustive":
-        pairs, failures = _verify_exhaustive(cert, notes)
+        pairs, failures = _verify_exhaustive(cert, table)
     else:
         pairs, failures = _verify_sampled(cert, samples, sample_seed)
-        notes.append(f"sampled mode: {pairs} ordered pairs, seed {sample_seed}")
+        notes = (f"sampled mode: {pairs} ordered pairs, seed {sample_seed}",)
     return VerificationReport(
         ok=not failures and not integrity,
         mode=mode,
@@ -981,7 +978,7 @@ def verify_certificate(
         integrity_failures=tuple(integrity),
         integrity_s=middle - start,
         functional_s=time.perf_counter() - middle,
-        notes=tuple(notes),
+        notes=notes,
     )
 
 

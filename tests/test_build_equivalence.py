@@ -559,7 +559,8 @@ def test_mask_check_matches_verify_embedding_both_directions():
 
 def test_small_certificate_builds_without_numpy(tmp_path):
     # importing numpy costs a fresh process about 0.1 s, more than the
-    # whole n = 2000 build, so small inputs take the plain-Python paths
+    # whole n = 2000 build, so small inputs take the plain-Python paths;
+    # exhaustive verify reruns the build's checks, so it needs none either
     import os
     import subprocess
     import sys
@@ -570,6 +571,8 @@ def test_small_certificate_builds_without_numpy(tmp_path):
     script = (
         "import sys; from divdim.cli import main; "
         "main(['certify', '--n', '2000', '--seed', '0', '--out', sys.argv[1]]); "
+        "print('numpy' in sys.modules); "
+        "assert main(['verify', '--cert', sys.argv[1]]) == 0; "
         "print('numpy' in sys.modules)"
     )
     src = str(Path(divdim.__file__).parent.parent)
@@ -580,4 +583,6 @@ def test_small_certificate_builds_without_numpy(tmp_path):
         text=True,
         check=True,
     )
-    assert done.stdout.splitlines()[-1] == "False"
+    built, verified, after_verify = done.stdout.splitlines()[3:]
+    assert verified.startswith("PASS: exhaustive verification, 3998000 ordered pairs")
+    assert (built, after_verify) == ("False", "False")

@@ -202,11 +202,14 @@ def test_verify_mutated_certificate_fails(tmp_path, capsys):
     assert "witness" in err
 
 
-def test_verify_large_requires_sampled(tmp_path, capsys):
+def test_verify_large_certificate_exhaustively(tmp_path, capsys):
     cert = tmp_path / "cert.json"
     main(["certify", "--n", "2500", "--seed", "0", "--out", str(cert)])
-    assert main(["verify", "--cert", str(cert)]) == 3
     capsys.readouterr()
+    assert main(["verify", "--cert", str(cert)]) == 0
+    assert capsys.readouterr().out.startswith(
+        f"PASS: exhaustive verification, {2500 * 2499} ordered pairs in "
+    )
     assert main(["verify", "--cert", str(cert), "--sampled", "3000"]) == 0
 
 
@@ -235,6 +238,18 @@ def test_bounds_reports_the_certificate_dimension(tmp_path, capsys):
     assert main(["bounds", "--n", "1000,100000", "--cert", str(cert), "--json"]) == 0
     rows = json.loads(capsys.readouterr().out)
     assert [r["certificate_dimension"] for r in rows] == [153, None]
+
+
+def test_bounds_refuses_a_certificate_whose_n_is_not_listed(tmp_path, capsys):
+    # the certificate's dimension would otherwise be dropped without a word
+    cert = tmp_path / "cert.json"
+    assert main(["certify", "--n", "150", "--seed", "0", "--out", str(cert)]) == 0
+    capsys.readouterr()
+    for extra in ([], ["--json"]):
+        assert main(["bounds", "--n", "1000", "--cert", str(cert), *extra]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: the certificate is for n=150, which --n does not list\n"
 
 
 def test_exact_dim_above_max_d_says_so(capsys):
@@ -334,8 +349,8 @@ def _swap_zones_1_and_2(data):
     zones[1], zones[2] = zones[2], zones[1]
 
 
-# without the top zone, 67, its smallest prime, lies at or below every
-# number; eps 1.5 and the swap leave the coordinates a realiser
+# without the top zone, 67, its smallest prime, lies at or below 1 in
+# every coordinate; eps 1.5 and the swap leave the coordinates a realiser
 @pytest.mark.parametrize(
     "edit,integrity,prime",
     [
@@ -363,7 +378,7 @@ def test_certificate_off_its_plan_fails_integrity(
     assert main(["verify", "--cert", str(cert)]) == 1
     out, err = capsys.readouterr()
     kind = "coordinates-leq-but-not-divisible"
-    pairs = [] if prime is None else [(prime, b, kind) for b in range(1, 21)]
+    pairs = [] if prime is None else [(prime, 1, kind)]
     lines = out.splitlines()
     assert [line for line in lines if line.startswith("  integrity: ")] == [
         f"  integrity: {w}" for w in integrity
@@ -482,6 +497,47 @@ def test_a_closed_stdout_keeps_the_exit_code(tmp_path, args, flip, status, unbuf
     assert done.returncode == status, done.stderr
     assert "Broken pipe" not in done.stderr and "Traceback" not in done.stderr
     assert ("witness:" in done.stderr) == flip
+
+
+# each edit breaks one zone's record; exhaustive verify names the zone in
+# a pair line, and where the coordinates still realise divisibility
+# (primes out of order carry their rank columns along) integrity does
+ZONE_RECORD_EDITS = {
+    "composite-recorded-as-prime": (
+        lambda d: _zone(d, "random-suitable")["primes"].__setitem__(0, 68),
+        ["  pair: ('zone 2 (random-suitable)', '68 is not a prime up to n=2000')"],
+    ),
+    "prime-in-two-zones": (
+        lambda d: _zone(d, "chains")["primes"].append(67),
+        [
+            "  pair: ('zone 0 (chains)', '67 is recorded more than once')",
+            "  pair: ('zone 2 (random-suitable)', '67 is recorded more than once')",
+        ],
+    ),
+    "primes-out-of-order": (
+        lambda d: _zone(d, "random-suitable")["primes"].reverse(),
+        ["  integrity: ('zone 2 (random-suitable)', 'primes differs from its derivation')"],
+    ),
+    "zone-with-no-rows": (
+        lambda d: _zone(d, "random-suitable").update(ranks=[]),
+        ["  pair: ('zone 2 (random-suitable)', 'at least one permutation is required')"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(ZONE_RECORD_EDITS))
+def test_zone_record_edit_fails_naming_the_zone(tmp_path, cert_2000, case):
+    edit, expected = ZONE_RECORD_EDITS[case]
+    data = json.loads(json.dumps(cert_2000))
+    assert _zone(data, "random-suitable")["primes"][0] == 67
+    edit(data)
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(data))
+    done = _divdim("verify", "--cert", str(cert), timeout=30)
+    assert done.returncode == 1, done.stderr
+    lines = done.stdout.splitlines()
+    assert all(line in lines for line in expected), done.stdout
+    assert "Traceback" not in done.stderr
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from divdim import pipeline
-from divdim.base import DomainError, ResourceLimitError
+from divdim.base import DomainError
 from divdim.coverfree import build_field, eff_family, verify_cover_free
 from divdim.divposets import (
     DivPosetSpec,
@@ -188,7 +188,10 @@ def test_verify_sampled_mode():
     assert any("sampled" in note for note in report.notes)
 
 
-def test_exhaustive_guard():
+def test_exhaustive_mode_has_no_size_guard():
+    # n = 4000 with the zones of n = 60 is checked, not refused: 61, the
+    # smallest prime in no zone, lies at or below 1 in every coordinate,
+    # and the zones' rows are not suitable at n = 4000 either
     cert, table = cert_for(60)
     big = RealiserCertificate(
         n=4000,
@@ -198,8 +201,9 @@ def test_exhaustive_guard():
         dimension=cert.dimension,
         zones=cert.zones,
     )
-    with pytest.raises(ResourceLimitError):
-        verify_certificate(big, sieve_primes(4000))
+    report = verify_certificate(big, sieve_primes(4000))
+    assert not report.ok and report.pairs_checked == 4000 * 3999
+    assert report.pair_failures[0] == (61, 1, "coordinates-leq-but-not-divisible")
 
 
 def test_rank_mutation_caught():
@@ -241,8 +245,9 @@ def test_functional_failure_without_integrity_check():
                 other[:] = list(row)
             break
     mutated = RealiserCertificate.from_json_dict(data)
-    _, failures = _verify_exhaustive(mutated, [])
-    assert failures
+    _, failures = _verify_exhaustive(mutated, table)
+    ((a, b, kind),) = failures
+    assert kind == "coordinates-leq-but-not-divisible" and b % a != 0
 
 
 def test_seed_mismatch_is_integrity_failure():
@@ -330,29 +335,28 @@ def test_bound_table_rejects_tiny_n():
         bound_table([2])
 
 
-def test_exhaustive_scan_counts_pairs_and_truncates_failures():
-    # keeping one rank row of the random-suitable zone makes more than
-    # 20 pairs fail at n = 1000
-    cert, _ = cert_for(1000)
+def test_exhaustive_check_counts_pairs_and_reports_one_pair_per_zone():
+    # with one rank row the random-suitable zone is not suitable at
+    # n = 1000: many pairs fail, and the zone's first uncovered one is
+    # reported
+    cert, table = cert_for(1000)
     data = json.loads(cert.dumps())
     for zone in data["zones"]:
         if zone["kind"] == "random-suitable":
             zone["ranks"] = zone["ranks"][:1]
     broken = RealiserCertificate.from_json_dict(data)
-    for checked, failing in ((cert, False), (broken, True)):
-        notes = []
-        pairs, failures = _verify_exhaustive(checked, notes)
-        assert pairs == 1000 * 999
-        if failing:
-            assert len(failures) == 20 and notes == ["failure list truncated at 20"]
-        else:
-            assert not failures and not notes
+    assert _verify_exhaustive(cert, table) == (1000 * 999, [])
+    pairs, failures = _verify_exhaustive(broken, table)
+    assert pairs == 1000 * 999
+    ((a, b, kind),) = failures
+    assert kind == "coordinates-leq-but-not-divisible" and b % a != 0
 
 
 @pytest.mark.parametrize("mode, samples", [("exhaustive", None), ("sampled", 5000)])
 def test_report_times_both_phases_and_lists_every_pair_failure(monkeypatch, mode, samples):
-    # keeping one rank row of the random-suitable zone makes more than
-    # 20 pairs fail at n = 1000; the summary shows all 20 it keeps
+    # keeping one rank row of the random-suitable zone makes many pairs
+    # fail at n = 1000; sampled mode keeps 20 of them, exhaustive mode the
+    # zone's first, and the summary shows every one kept
     cert, table = cert_for(1000)
     data = json.loads(cert.dumps())
     for zone in data["zones"]:
@@ -367,7 +371,9 @@ def test_report_times_both_phases_and_lists_every_pair_failure(monkeypatch, mode
     lines = report.summary().splitlines()
     assert lines[0].startswith(f"FAIL: {mode} verification, ")
     assert lines[0].endswith(" in 3.00s (integrity 1.50s, functional 1.50s)")
-    assert sum(line.startswith("  pair: ") for line in lines) == len(report.pair_failures) == 20
+    kept = len(report.pair_failures)
+    assert kept == (1 if mode == "exhaustive" else 20)
+    assert sum(line.startswith("  pair: ") for line in lines) == kept
     assert "wall_time" not in {f.name for f in dataclasses.fields(report)}
 
 
@@ -478,7 +484,6 @@ def test_single_field_edit_is_caught(cert_1000_json, kind, path):
         (60, {"mode": "pairs"}, DomainError),
         (60, {"mode": "sampled"}, DomainError),
         (60, {"mode": "sampled", "samples": 0}, DomainError),
-        (2001, {}, ResourceLimitError),
     ],
 )
 def test_arguments_checked_before_integrity(monkeypatch, n, kwargs, error):
