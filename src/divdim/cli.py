@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     b = csub.add_parser("build", help="polynomial-graph family over GF(q)")
     b.add_argument("--q", type=int, required=True)
     b.add_argument("--h", type=int, required=True)
-    b.add_argument("--verify", type=int, default=None, metavar="R")
+    b.add_argument("--verify", type=_positive, default=None, metavar="R")
     b.add_argument("--json", help="write the family to this JSON file")
     b.set_defaults(func=_cmd_coverfree_build)
     v = csub.add_parser("verify", help="check a stored family")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .base import DomainError, O1_DROPPED_NOTE, ResourceLimitError, Verdict
-from .primes import is_prime, prime_power_base
+from .primes import prime_power_base
 from .rng import SplitMix64, check_seed
 
 FIELD_SIZE_GUARD = 1 << 16
@@ -23,12 +23,21 @@ EXHAUSTIVE_CHECK_GUARD = 10**9
 EFF_FAMILY_GUARD = 1_000_000
 
 
+def _digits(value: int, base: int, count: int) -> list[int]:
+    """The ``count`` lowest base-``base`` digits of value, least significant first."""
+    out = []
+    for _ in range(count):
+        value, digit = divmod(value, base)
+        out.append(digit)
+    return out
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """GF(p**k) with elements encoded as integers 0..q-1.
 
-    The encoding is fixed: an element's base-p digits, little-endian, are
-    its polynomial coefficients, so families built on top of a field are
+    The encoding is fixed: ``_digits(a, p, k)`` lists the coefficients
+    of element a's polynomial, so families built on top of a field are
     byte-reproducible.  The modulus is the first monic irreducible of
     degree k in that same enumeration order (unused when k == 1).
     """
@@ -40,13 +49,6 @@ class FieldSpec:
     @property
     def q(self) -> int:
         return self.p**self.k
-
-    def _digits(self, a: int) -> list[int]:
-        out = []
-        for _ in range(self.k):
-            out.append(a % self.p)
-            a //= self.p
-        return out
 
     def _undigits(self, digits) -> int:
         out = 0
@@ -65,13 +67,13 @@ class FieldSpec:
     def _add(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a + b) % self.p
-        da, db = self._digits(a), self._digits(b)
+        da, db = _digits(a, self.p, self.k), _digits(b, self.p, self.k)
         return self._undigits([(x + y) % self.p for x, y in zip(da, db)])
 
     def _mul(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a * b) % self.p
-        da, db = self._digits(a), self._digits(b)
+        da, db = _digits(a, self.p, self.k), _digits(b, self.p, self.k)
         prod = [0] * (2 * self.k - 1)
         for i, x in enumerate(da):
             if x:
@@ -96,20 +98,6 @@ class FieldSpec:
         t = self._tables
         return t[1][a][b] if t else self._mul(a, b)
 
-    def pow(self, a: int, e: int) -> int:
-        out, base = 1, a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise DomainError("zero has no inverse")
-        return self.pow(a, self.q - 2)
-
     def eval_poly(self, coeffs, x: int) -> int:
         out = 0
         for c in reversed(coeffs):
@@ -133,20 +121,14 @@ def _is_irreducible(poly: list[int], p: int) -> bool:
     k = len(poly) - 1
     for deg in range(1, k // 2 + 1):
         for code in range(p**deg):
-            divisor = []
-            c = code
-            for _ in range(deg):
-                divisor.append(c % p)
-                c //= p
-            divisor.append(1)
-            if _poly_divides(divisor, poly, p):
+            if _poly_divides(_digits(code, p, deg) + [1], poly, p):
                 return False
     return True
 
 
 def build_field(p: int, k: int) -> FieldSpec:
     """GF(p**k) for prime p and 1 <= k <= 4, with p**k <= 2**16."""
-    if not is_prime(p):
+    if prime_power_base(p) != (p, 1):
         raise DomainError(f"{p} is not prime")
     if not 1 <= k <= 4:
         raise DomainError("extension degree must be between 1 and 4")
@@ -155,12 +137,7 @@ def build_field(p: int, k: int) -> FieldSpec:
     if k == 1:
         return FieldSpec(p, 1, (0, 1))
     for code in range(p**k):
-        coeffs = []
-        c = code
-        for _ in range(k):
-            coeffs.append(c % p)
-            c //= p
-        poly = coeffs + [1]
+        poly = _digits(code, p, k) + [1]
         if _is_irreducible(poly, p):
             return FieldSpec(p, k, tuple(poly))
     raise DomainError(f"no irreducible polynomial found for GF({p}^{k})")  # unreachable
@@ -229,11 +206,7 @@ def eff_family(field: FieldSpec, h: int, count: int | None = None) -> SetFamily:
         raise ResourceLimitError(f"{count} sets exceeds guard {EFF_FAMILY_GUARD}")
     sets = []
     for code in range(count):
-        coeffs = []
-        c = code
-        for _ in range(h + 1):
-            coeffs.append(c % q)
-            c //= q
+        coeffs = _digits(code, q, h + 1)
         sets.append(frozenset(q * x + field.eval_poly(coeffs, x) for x in range(q)))
     return SetFamily(ground_size=q * q, sets=tuple(sets), r=(q - 1) // h)
 

@@ -520,7 +520,7 @@ def verify_interval_suitable(s: IntervalSuitableSet) -> Verdict:
 
 @dataclass(frozen=True)
 class CoverFreeEmbedding:
-    """Injection of interval primes into a cover-free family.
+    """Injection of interval primes into a cover-free family: prime i to member i.
 
     Extends to squarefree products by unions; under the recorded
     hypotheses that map embeds the squarefree divisibility poset of the
@@ -533,7 +533,6 @@ class CoverFreeEmbedding:
     r: int
     family: SetFamily
     primes: tuple[int, ...]
-    assignment: tuple[int, ...]
 
 
 def _log_at_least(base: float, exponent: int, n: int) -> bool:
@@ -577,7 +576,6 @@ def coverfree_embedding(
         r=r,
         family=family,
         primes=primes,
-        assignment=tuple(range(len(primes))),
     )
     nodes = sorted(smooth_nodes(primes, n, True))
     members = family.masks()
@@ -586,7 +584,7 @@ def coverfree_embedding(
         source.append(sum(1 << i for i in indices))
         union = 0
         for i in indices:
-            union |= members[embedding.assignment[i]]
+            union |= members[i]
         image.append(union)
     found = _first_containment_mismatch(source, image)
     if found is None:

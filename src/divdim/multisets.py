@@ -259,8 +259,8 @@ def _set_cover_exact(masks: list[int], universe: int) -> list[int]:
 
     Classic reductions keep this exact but small: dominated constraints
     are dropped (anything covering a harder constraint covers them too),
-    dominated masks are dropped, and a pairwise-exclusion clique certifies
-    greedy answers without branching in most cases.
+    dominated masks are dropped before branching, and a pairwise-exclusion
+    clique certifies greedy answers without branching in most cases.
     """
     bits = _bits_of(universe)
     # coversets: for each constraint, the set of masks covering it, as a
@@ -287,16 +287,18 @@ def _set_cover_exact(masks: list[int], universe: int) -> list[int]:
     reduced: dict[int, int] = {}
     for i, mk in enumerate(masks):
         reduced.setdefault(mk & need, i)
-    kept_rows = _undominated(sorted(reduced, key=lambda m: -m.bit_count()))
-
+    rows = sorted(reduced, key=lambda m: -m.bit_count())
+    # a dominated row has fewer bits than an earlier row holding it, so the
+    # first row of largest gain is never dominated: greedy may skip the pass
     uncovered, greedy = need, []
     while uncovered:
-        bestmask = max(kept_rows, key=lambda m: (m & uncovered).bit_count())
+        bestmask = max(rows, key=lambda m: (m & uncovered).bit_count())
         greedy.append(bestmask)
         uncovered &= ~bestmask
     lower = _exclusion_clique(kept_bits, coversets)
     best = list(greedy)
     if lower < len(best):
+        kept_rows = _undominated(rows)
         covering = {b: [m for m in kept_rows if m >> b & 1] for b in kept_bits}
         max_gain = max(m.bit_count() for m in kept_rows)
 

@@ -434,8 +434,6 @@ def _derive_zone(n: int, zi: int, zp: ZonePlan, seed: int, retry_index: int):
 def _build_coverfree_zone(n: int, zone: ZonePlan, table: PrimeTable) -> CoverFreeZoneCert:
     """The zone's certificate, with every construction check run on it."""
     cert = _coverfree_zone(zone)
-    if cert.capacity < len(cert.primes):
-        raise DomainError("family capacity below the zone's prime count")
     family = SetFamily(cert.ground_size, tuple(map(frozenset, cert.family)))
     masks = family.masks()
     for i in range(len(masks)):

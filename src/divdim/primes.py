@@ -135,20 +135,6 @@ def squarefree_part(a: int) -> int:
     return out
 
 
-def is_prime(a: int) -> bool:
-    """Trial-division primality; meant for small moduli and field orders."""
-    if a < 2:
-        return False
-    if a < 4:
-        return True
-    if a % 2 == 0:
-        return False
-    for f in range(3, math.isqrt(a) + 1, 2):
-        if a % f == 0:
-            return False
-    return True
-
-
 def prime_power_base(a: int) -> tuple[int, int] | None:
     """(p, e) when a == p**e for a single prime p, otherwise None."""
     if a < 2:

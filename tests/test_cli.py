@@ -449,6 +449,17 @@ def test_exact_dim_max_size_below_1_is_a_usage_error(capsys, value):
     assert f"argument --max-size: must be at least 1, got {value}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_coverfree_build_verify_below_1_is_refused_before_the_build(tmp_path, capsys, value):
+    fam = tmp_path / "fam.json"
+    argv = ["coverfree", "build", "--q", "4", "--h", "3", "--verify", value, "--json", str(fam)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --verify: must be at least 1, got {value}" in captured.err
+    assert not fam.exists()
+
+
 def _divdim(*args, timeout, stdout=subprocess.PIPE, **env):
     """divdim run in a separate process, so a hang or a traceback shows."""
     src = str(Path(divdim.__file__).parent.parent)

@@ -26,6 +26,16 @@ def field_for(q):
 # --- fields -----------------------------------------------------------------
 
 
+def _power(f, a, e):
+    """a**e in the field f, by square and multiply."""
+    out = 1
+    for bit in bin(e)[2:]:
+        out = f.mul(out, out)
+        if bit == "1":
+            out = f.mul(out, a)
+    return out
+
+
 def test_gf2_addition():
     f = build_field(2, 1)
     assert f.add(1, 1) == 0
@@ -36,13 +46,13 @@ def test_gf9_element_orders_divide_eight():
     f = build_field(3, 2)
     assert f.q == 9
     for a in range(1, 9):
-        assert f.pow(a, 8) == 1
+        assert _power(f, a, 8) == 1
 
 
 def test_gf8_inverses():
     f = build_field(2, 3)
     for a in range(1, 8):
-        assert f.mul(a, f.inv(a)) == 1
+        assert sum(f.mul(a, b) == 1 for b in range(8)) == 1
 
 
 def test_field_axioms_spot_checked():
@@ -66,6 +76,24 @@ def test_multiplicative_group_cyclic_spot_check():
             k += 1
         orders.add(k)
     assert 8 in orders  # a generator exists
+
+
+@pytest.mark.parametrize("q", [169, 343, 625])
+def test_untabled_field_axioms_and_orders(q):
+    f = field_for(q)
+    assert f._tables is None  # above the table cut, arithmetic goes digit by digit
+    rng = SplitMix64(q).draws_below(q).__next__
+    for _ in range(20):
+        a, b, c = rng(), rng(), rng()
+        assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+        assert f.mul(a, b) == f.mul(b, a)
+        assert f.add(a, b) == f.add(b, a)
+        assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
+        assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
+        assert f.add(a, 0) == f.mul(a, 1) == a
+    for _ in range(10):
+        a = rng() or 1
+        assert _power(f, a, q - 1) == 1
 
 
 def test_modulus_is_irreducible_by_brute_force():
@@ -95,8 +123,9 @@ def test_modulus_is_irreducible_by_brute_force():
 
 
 def test_build_field_rejects_bad_inputs():
-    with pytest.raises(DomainError):
-        build_field(4, 1)
+    for p in (1, 4):
+        with pytest.raises(DomainError, match=f"{p} is not prime"):
+            build_field(p, 1)
     with pytest.raises(DomainError):
         build_field(2, 5)
     with pytest.raises(DomainError):
@@ -144,6 +173,22 @@ def test_eff_prefix_count():
     assert fam.sets == full.sets[:4]
 
 
+def test_eff_untabled_field_members():
+    fam = eff_family(field_for(169), 1, count=40)
+    assert len(fam) == 40
+    assert all(len(s) == 169 for s in fam.sets)
+    for a, b in itertools.combinations(fam.sets, 2):
+        assert len(a & b) <= 1
+
+
+def test_eff_count_guards():
+    f = field_for(4)
+    with pytest.raises(DomainError, match="count must be between 1 and 16"):
+        eff_family(f, 1, count=4**2 + 1)
+    with pytest.raises(ResourceLimitError):
+        eff_family(field_for(27), 4)  # 27^5 members
+
+
 def test_eff_degree_bounds():
     f = build_field(3, 1)
     with pytest.raises(DomainError):
@@ -186,6 +231,13 @@ def test_sampled_mode_is_labelled_and_seeded():
     b = verify_cover_free(fam, 3, mode="sampled", samples=500, seed=3)
     assert a == b
     assert "500 samples" in a.note
+
+
+def test_sampled_mode_on_at_most_r_members_is_vacuous():
+    fam = SetFamily(3, (frozenset({0}), frozenset({0, 1})))
+    verdict = verify_cover_free(fam, 2, mode="sampled", samples=10)
+    assert verdict
+    assert verdict.note == "sampled; family of 2 members is vacuously 2-cover-free"
 
 
 def test_sampled_mode_finds_planted_cover():
@@ -341,6 +393,9 @@ def test_overflow_flagged_as_infinity():
     b = eval_cover_bounds(10**9, r=1)
     assert b.fixed_r_lower == math.inf
     assert "fixed_r_lower" in b.overflowed
+    b = eval_cover_bounds(10, eps=0.001)
+    assert b.sqrt_lower == b.sqrt_upper == math.inf
+    assert set(b.overflowed) == {"sqrt_lower", "sqrt_upper"}
 
 
 def test_bounds_argument_validation():

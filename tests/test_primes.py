@@ -10,7 +10,6 @@ from divdim.primes import (
     DEFAULT_SIEVE_BUDGET,
     factorize,
     factorize_many,
-    is_prime,
     prime_power_base,
     sieve_primes,
     squarefree_part,
@@ -149,11 +148,6 @@ def test_squarefree_part_properties(a):
     assert a % s == 0
     assert all(e == 1 for e in factorize(s).values())
     assert squarefree_part(s) == s
-
-
-def test_is_prime_matches_oracle():
-    for n in range(200):
-        assert is_prime(n) == trial_division_is_prime(n)
 
 
 def test_prime_power_base():
