@@ -9,7 +9,6 @@ these objects realiser seeds.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -212,50 +211,16 @@ def _exclusion_clique(bits: list[int], coversets: dict[int, int]) -> int:
 
 
 def _undominated(rows: list[int]) -> list[int]:
-    """Rows kept in order, dropping each row inside an earlier kept row.
-
-    ``holders[b]`` has bit j set when kept row j contains bit b, so a row
-    is dominated exactly when the AND of its bits' holders, starting from
-    every kept row, is nonzero; for the empty row that is any kept row.
-    Within a run of rows of equal popcount a row can only lie inside an
-    equal one, so a run is checked against the earlier runs alone and
-    keeps each of its rows once.  One table per byte holds, for each byte
-    value, that AND over the byte's bits; the run's survivors then join
-    ``holders`` in one ``_coversets`` transpose.
-    """
+    """Rows kept in order, dropping each row inside or equal to an earlier kept row."""
     kept: list[int] = []
-    holders: dict[int, int] = {}
-    for _, run in itertools.groupby(rows, int.bit_count):
-        everyone = (1 << len(kept)) - 1
-        width = (max(holders, default=-1) + 8) // 8
-        tables = []
-        for at in range(0, 8 * width, 8):
-            table = [everyone] * 256
-            for v in range(1, 256):
-                table[v] = table[v & (v - 1)] & holders.get(at + (v & -v).bit_length() - 1, 0)
-            tables.append(table)
-        survivors: dict[int, None] = {}
-        union = 0
-        for m in run:
-            common = everyone
-            if m >> 8 * width:  # no kept row holds a bit that high
-                common = 0
-            else:
-                for table, v in zip(tables, m.to_bytes(width, "little")):
-                    common &= table[v]
-                    if not common:
-                        break
-            if not common:
-                survivors[m] = None
-                union |= m
-        for b, cover in _coversets(list(survivors), union).items():
-            holders[b] = holders.get(b, 0) | cover << len(kept)
-        kept += survivors
+    for m in rows:
+        if not any(m | k == k for k in kept):
+            kept.append(m)
     return kept
 
 
 def _set_cover_exact(masks: list[int], universe: int) -> list[int]:
-    """Minimum subcollection of masks covering universe.
+    """Minimum subcollection of masks covering universe; each bit must lie in some mask.
 
     Classic reductions keep this exact but small: dominated constraints
     are dropped (anything covering a harder constraint covers them too),
@@ -266,8 +231,6 @@ def _set_cover_exact(masks: list[int], universe: int) -> list[int]:
     # coversets: for each constraint, the set of masks covering it, as a
     # bitmask over mask indices
     coversets = _coversets(masks, universe)
-    if any(coversets[b] == 0 for b in bits):
-        raise DomainError("no mask covers some constraint")  # unreachable here
     # column reduction: drop b when some other constraint is covered only
     # by masks that cover b too
     kept_bits: list[int] = []

@@ -906,11 +906,11 @@ def _verify_sampled(
 
     Stops at the 20th failure, and then counts the pairs up to it.
     """
-    import numpy as np
-
     n = cert.n
     if n < 2:  # no ordered pair a != b to draw
         return 0, []
+    import numpy as np
+
     zones = [(index, _rank_matrix(rows)) for index, rows in certificate_zones(cert)]
     table = _zone_table(zones)
     failures: list[tuple] = []

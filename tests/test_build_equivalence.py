@@ -375,6 +375,13 @@ def test_suitability_rejects_non_permutations(rows, path):
         check_interval_suitability(100, primes, rows)
 
 
+def test_numpy_suitability_path_refuses_no_rows(monkeypatch):
+    # with no rows the work is 0, so only a limit of 0 sends them to numpy
+    monkeypatch.setattr(divposets, "NUMPY_MIN_WORK", 0)
+    with pytest.raises(DomainError, match="at least one permutation is required"):
+        check_interval_suitability(100, (11, 13), [])
+
+
 # --- draws ------------------------------------------------------------------------
 
 

@@ -1,10 +1,15 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import divdim
 from divdim import pipeline
 from divdim.base import DomainError
 from divdim.coverfree import build_field, eff_family, verify_cover_free
@@ -105,6 +110,28 @@ def test_plan_widens_when_the_intervals_stop_short_of_the_middle_limit():
     assert report.pairs_checked == n * n - n
 
 
+def test_plan_widens_with_a_block_that_holds_a_prime():
+    # d^(2^K) = 49 falls short of B = 53.13..., and (49, 53.13...] holds 53
+    n = 1539
+    table = sieve_primes(n)
+    pl = plan(n, 0.001, table)
+    assert pl.interval_count == 1
+    assert 53 < pl.middle_limit < 54
+    zones = [(z.kind, len(z.primes)) for z in pl.zones]
+    assert zones == [
+        ("chains", 9), ("random-suitable", 6), ("random-suitable", 1), ("random-suitable", 226),
+    ]
+    widened = pl.zones[2]
+    assert (widened.lo, widened.hi) == (49.0, pl.middle_limit)
+    assert widened.primes == (53,) and widened.boost is None
+    assert pl.zones[3].lo == pl.middle_limit
+    cert = build_certificate(pl, 0, table)
+    assert cert.dimension == 55
+    report = verify_certificate(cert, table)
+    assert report.ok and report.pairs_checked == n * n - n
+    assert verify_certificate(cert, table, mode="sampled", samples=3000).ok
+
+
 def test_plan_rejects_bad_arguments():
     with pytest.raises(DomainError):
         plan(0, 0.5, TABLE)
@@ -152,6 +179,29 @@ def test_json_round_trip():
     cert, _ = cert_for(150)
     again = RealiserCertificate.loads(cert.dumps())
     assert again == cert
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d.update(schema_version=2), "unsupported schema_version 2"),
+        (lambda d: d.update(n=0), "n must be a positive integer, got 0"),
+        (lambda d: d["zones"][0].update(kind="spiral"), "unknown zone kind 'spiral'"),
+    ],
+    ids=["schema-version-2", "n-0", "spiral-zone"],
+)
+def test_reader_refuses_an_unknown_version_n_below_1_or_zone_kind(edit, message):
+    cert, _ = cert_for(60)
+    data = json.loads(cert.dumps())
+    edit(data)
+    with pytest.raises(DomainError, match=message):
+        RealiserCertificate.from_json_dict(data)
+
+
+def test_build_refuses_a_prime_table_below_n():
+    pl = plan(60, 0.5, sieve_primes(60))
+    with pytest.raises(DomainError, match="prime table does not cover n"):
+        build_certificate(pl, 0, sieve_primes(50))
 
 
 def test_record_keys_are_the_format_and_the_fields():
@@ -204,6 +254,90 @@ def test_exhaustive_mode_has_no_size_guard():
     report = verify_certificate(big, sieve_primes(4000))
     assert not report.ok and report.pairs_checked == 4000 * 3999
     assert report.pair_failures[0] == (61, 1, "coordinates-leq-but-not-divisible")
+
+
+def test_sampled_verify_of_n_1_imports_no_numpy(tmp_path):
+    # n = 1 has no ordered pair to draw, and importing numpy would take
+    # most of a fresh process's time
+    script = (
+        "import sys; from divdim.cli import main; "
+        "main(['certify', '--n', '1', '--out', sys.argv[1]]); "
+        "assert main(['verify', '--cert', sys.argv[1], '--sampled', '5']) == 0; "
+        "assert 'numpy' not in sys.modules"
+    )
+    src = str(Path(divdim.__file__).parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "cert.json")],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "PASS: sampled verification, 0 ordered pairs" in done.stdout
+
+
+@pytest.fixture(scope="module")
+def cert_2000_json():
+    cert, _ = cert_for(2000)
+    return cert.dumps()
+
+
+def test_zone_primes_out_of_order_are_checked_in_ascending_order(cert_2000_json):
+    # reversing the random-suitable zone's primes with each rank row keeps
+    # every prime's ranks, so the pair check gives what it gives on the
+    # zone as recorded: all pairs pass with the built rows, and one row
+    # ranking the primes in ascending order leaves (67, 71) uncovered
+    # first, where the same row read against the reversed primes would
+    # leave (71, 67)
+    built = json.loads(cert_2000_json)["zones"][2]["ranks"]
+    assert len(built[0]) == 285
+    for ranks, expected in ((built, []), ([list(range(285))], [(67, 71)])):
+        data = json.loads(cert_2000_json)
+        zone = data["zones"][2]
+        zone["ranks"] = ranks
+        as_recorded = RealiserCertificate.from_json_dict(data)
+        zone["primes"].reverse()
+        zone["ranks"] = [row[::-1] for row in ranks]
+        reordered = RealiserCertificate.from_json_dict(data)
+        failures = [(a, b, "coordinates-leq-but-not-divisible") for a, b in expected]
+        assert _verify_exhaustive(as_recorded, TABLE) == (2000 * 1999, failures)
+        assert _verify_exhaustive(reordered, TABLE) == (2000 * 1999, failures)
+    data = json.loads(cert_2000_json)
+    zone = data["zones"][2]
+    zone["primes"].reverse()
+    zone["ranks"] = [row[::-1] for row in zone["ranks"]]
+    report = verify_certificate(RealiserCertificate.from_json_dict(data), TABLE)
+    assert report.pair_failures == ()
+    assert report.integrity_failures == (
+        ("zone 2 (random-suitable)", "primes differs from its derivation"),
+    )
+
+
+@pytest.mark.parametrize(
+    "edit, expected",
+    [
+        (
+            lambda chains: chains.append(67),
+            [
+                ("zone 0 (chains)", "67 is recorded more than once"),
+                ("zone 2 (random-suitable)", "67 is recorded more than once"),
+            ],
+        ),
+        (
+            lambda chains: chains.__setitem__(0, 4),
+            [
+                (2, 1, "coordinates-leq-but-not-divisible"),
+                ("zone 0 (chains)", "4 is not a prime up to n=2000"),
+            ],
+        ),
+    ],
+    ids=["duplicate-67", "composite-4"],
+)
+def test_zone_recording_a_prime_twice_or_a_non_prime_is_named(cert_2000_json, edit, expected):
+    data = json.loads(cert_2000_json)
+    edit(data["zones"][0]["primes"])
+    edited = RealiserCertificate.from_json_dict(data)
+    assert _verify_exhaustive(edited, TABLE) == (2000 * 1999, expected)
 
 
 def test_rank_mutation_caught():
