@@ -8,7 +8,9 @@ cover-free family, verified as poset embeddings.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 import operator
 import warnings
@@ -67,20 +69,10 @@ class DivPosetSpec:
         return tuple(sorted(set(self.prime_set)))
 
 
-def smooth_nodes(
-    primes: Sequence[int], n: int, squarefree: bool
-) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(m, prime indices) for each m <= n whose prime factors all lie in ``primes``.
-
-    Depth first: m, then each m * primes[i]**k for ascending i past m's
-    largest index while the product stays <= n (k = 1 alone when
-    ``squarefree``).  The indices ascend and repeat for prime powers.
-    ``primes`` must be ascending: the first prime that takes a product
-    past n ends the scan, so each step yields a node or stops.  A node
-    that no larger prime extends, such as each prime of a zone above
-    sqrt(n), is a leaf and is yielded inline rather than by a recursive
-    generator of its own.
-    """
+def _walk(primes: Sequence[int], n: int, squarefree: bool):
+    """The recursion of ``smooth_nodes``: ``walk(start, value, indices)``
+    yields the node (value, indices), then its extensions by the primes
+    from index ``start`` on, depth first."""
     last = len(primes) - 1
 
     def rec(start: int, value: int, indices: tuple[int, ...]):
@@ -100,7 +92,24 @@ def smooth_nodes(
                 v *= primes[i]
                 ind += (i,)
 
-    return rec(0, 1, ())
+    return rec
+
+
+def smooth_nodes(
+    primes: Sequence[int], n: int, squarefree: bool
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(m, prime indices) for each m <= n whose prime factors all lie in ``primes``.
+
+    Depth first: m, then each m * primes[i]**k for ascending i past m's
+    largest index while the product stays <= n (k = 1 alone when
+    ``squarefree``).  The indices ascend and repeat for prime powers.
+    ``primes`` must be ascending: the first prime that takes a product
+    past n ends the scan, so each step yields a node or stops.  A node
+    that no larger prime extends, such as each prime of a zone above
+    sqrt(n), is a leaf and is yielded inline rather than by a recursive
+    generator of its own.
+    """
+    return _walk(primes, n, squarefree)(0, 1, ())
 
 
 def smooth_preorder(primes: Sequence[int], n: int, squarefree: bool) -> Iterator[int]:
@@ -318,25 +327,49 @@ def check_interval_suitability(
     must rank every prime factor of m at or below p.  The witness on
     failure is the first uncovered (m, p): the first m in that order, and
     its lowest-indexed uncovered p.  ``primes`` must be strictly
-    ascending, as ``smooth_nodes`` needs.  The numpy path passes each
-    candidate (m, p) through a one-word bitmask prefilter over the first
-    64 rows before the exact row filter (see ``_prefiltered``).  Memory
-    is O(rows * len(primes)) for the rows and their inverse, O(nodes) for
-    the node list, plus per batch of nodes one mask word per prime and
-    node, a rows x (largest candidate count) mask table, and blocks of
-    SUITABILITY_BLOCK prefilter cells and survivors.
+    ascending, as ``smooth_nodes`` needs.
+
+    The numpy path checks the one-prime nodes, the primes up to n, in
+    batches straight from the rank matrix: node i's tops are column i.
+    Only the multi-prime nodes are walked; they descend from each
+    primes[i] with primes[i] * primes[i + 1] <= n.  The walk order is the
+    lexicographic order of the index tuples, so a one-prime failure at i
+    comes first unless a multi-prime node whose first index is below i
+    fails too.  Each candidate (m, p) passes a one-word bitmask prefilter
+    over the first 64 rows before the exact row filter (see
+    ``_prefiltered``).  Memory is O(rows * len(primes)) for the rows and
+    their inverse, O(multi-prime nodes) for their list, plus per batch of
+    nodes one mask word per prime and node, a rows x (largest candidate
+    count) mask table, and blocks of SUITABILITY_BLOCK prefilter cells
+    and survivors.
     """
     if not all(map(operator.lt, primes, primes[1:])):
         raise DomainError("primes must be strictly ascending")
-    nodes = list(smooth_nodes(primes, n, True))
-    small = len(rank_rows) * len(nodes) < NUMPY_MIN_WORK
-    del nodes[0]  # m = 1 has no prime factor: every prime covers it
-    if small:
+    singles = bisect.bisect_right(primes, n)
+    walk = _walk(primes, n, True)
+    multi = []
+    for i in range(singles - 1):
+        if primes[i] * primes[i + 1] > n:
+            break
+        multi.extend(itertools.islice(walk(i + 1, primes[i], (i,)), 1, None))
+    # the cut counts every node, m = 1 included
+    if len(rank_rows) * (1 + singles + len(multi)) < NUMPY_MIN_WORK:
+        nodes = list(smooth_nodes(primes, n, True))[1:]  # m = 1: every prime covers it
         return _suitability_python(nodes, primes, _rank_lists(rank_rows, len(primes)))
     import numpy as np
 
     ranks, at_rank = _rank_arrays(rank_rows, len(primes))
     batch_size = max(1, SUITABILITY_BLOCK // len(ranks))
+    first, witness = singles, None
+    for start in range(0, singles, batch_size):
+        stop = min(start + batch_size, singles)
+        indices = np.arange(start, stop)[:, None]
+        found = _first_uncovered(ranks, at_rank, ranks[:, start:stop], indices)
+        if found is not None:
+            k, i = found
+            first, witness = start + k, (primes[start + k], primes[i])
+            break
+    nodes = [node for node in multi if node[1][0] < first]
     for start in range(0, len(nodes), batch_size):
         batch = nodes[start : start + batch_size]
         depth = max(len(ind) for _, ind in batch)
@@ -348,7 +381,7 @@ def check_interval_suitability(
         if found is not None:
             k, i = found
             return Verdict(False, (batch[k][0], primes[i]))
-    return Verdict(True)
+    return Verdict(True) if witness is None else Verdict(False, witness)
 
 
 @dataclass(frozen=True)
@@ -552,13 +585,22 @@ def coverfree_embedding(
 ) -> tuple[CoverFreeEmbedding, Verdict]:
     """Map the i-th prime of (a, b] to the i-th family member.
 
-    Requires |family| >= pi(b) - pi(a) and r log a >= log n; the caller
-    is responsible for the family being r-cover-free (as the polynomial
-    construction guarantees).  The returned verdict is the full two-sided
-    embedding check over every squarefree element, always run: the
-    largest zone any buildable n gives (293 primes, 43,090 elements at
-    n = 10^7) takes a few seconds.
+    Requires a < b, |family| >= pi(b) - pi(a) and r log a >= log n; the
+    caller is responsible for the family being r-cover-free (as the
+    polynomial construction guarantees).  The verdict, always computed
+    over every squarefree element, is that of the two-sided embedding
+    check, witness included: the first element a by value for which
+    "a divides b" and "image(a) <= image(b)" differ for some b, then the
+    least such b.  Images are unions of members, so a | b gives
+    image(a) <= image(b), and only "order-created" can occur.  If a fails
+    against b, so does a prime of a that does not divide b, and it is no
+    larger than a; so the check takes one prime p at a time and looks
+    for the elements whose image holds p's member but that p does not
+    divide.  The largest zone any buildable n gives (293 primes, 43,090
+    elements at n = 10^7) takes about 0.3 s.
     """
+    if not a < b:
+        raise DomainError("need a < b")
     primes = table.primes_in(a, b)
     if len(family) < len(primes):
         raise PreconditionError(
@@ -586,46 +628,20 @@ def coverfree_embedding(
         for i in indices:
             union |= members[i]
         image.append(union)
-    found = _first_containment_mismatch(source, image)
-    if found is None:
-        return embedding, Verdict(True)
-    i, j, kind = found
-    return embedding, Verdict(False, (nodes[i][0], nodes[j][0], kind))
-
-
-def _first_containment_mismatch(
-    source: Sequence[int], image: Sequence[int]
-) -> tuple[int, int, str] | None:
-    """First (a, b) in row-major order where containment is not preserved.
-
-    ``source[k]`` and ``image[k]`` are sets as bitmasks.  This is
-    ``verify_embedding`` for the map source[k] -> image[k] between the
-    two containment orders: (a, b, "order-lost") when source[a] is
-    contained in source[b] but image[a] not in image[b], (a, b,
-    "order-created") for the converse.  Each side's columns, the rows
-    holding each element as a bitmask, come from one ``_coversets``; the
-    rows holding all of a's elements are the AND of their columns, so a
-    row costs |a| big-int ANDs, not a scan of b.
-    """
-    everyone = (1 << len(source)) - 1
-
-    def holding(mask: int, held: dict[int, int]) -> int:
-        rows = everyone
+    everyone = (1 << len(nodes)) - 1
+    divisible = _coversets(source, functools.reduce(operator.or_, source, 0))
+    holding = _coversets(image, functools.reduce(operator.or_, image, 0))
+    for i in range(bisect.bisect_right(primes, n)):  # the primes that are elements
+        rows, mask = everyone, members[i]
         while mask:
             low = mask & -mask
-            rows &= held[low.bit_length() - 1]
+            rows &= holding[low.bit_length() - 1]
             mask ^= low
-        return rows
-
-    source_held = _coversets(source, functools.reduce(operator.or_, source, 0))
-    image_held = _coversets(image, functools.reduce(operator.or_, image, 0))
-    for a, (mask, img) in enumerate(zip(source, image)):
-        above = holding(mask, source_held)
-        differ = above ^ holding(img, image_held)
-        if differ:
-            b = (differ & -differ).bit_length() - 1
-            return a, b, "order-lost" if above >> b & 1 else "order-created"
-    return None
+        created = rows & ~divisible[i]
+        if created:
+            k = (created & -created).bit_length() - 1
+            return embedding, Verdict(False, (primes[i], nodes[k][0], "order-created"))
+    return embedding, Verdict(True)
 
 
 @dataclass(frozen=True)

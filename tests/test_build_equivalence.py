@@ -1,15 +1,18 @@
 """The certificate build's array-backed checks against their oracles.
 
 The interval suitability check, the block draw of rank rows and the
-mask embedding check must give the same verdicts and witnesses as the
-straightforward implementations: the per-row suffix-bitset suitability
-check kept below, the scalar ``SplitMix64.shuffle`` draw, and
-``verify_embedding`` over ``FinitePoset``s.  The block streams
+per-prime embedding check must give the same verdicts and witnesses as
+the straightforward implementations: the per-row suffix-bitset
+suitability check kept below, the scalar ``SplitMix64.shuffle`` draw,
+and ``verify_embedding`` over ``FinitePoset``s or its two-sided mask
+form ``zone_reference._first_containment_mismatch``.  The block streams
 ``next_block`` and ``draws_below`` must equal the scalar draws.
 """
 
+import functools
 import itertools
 import math
+import operator
 import random
 
 import pytest
@@ -24,10 +27,12 @@ from divdim.divposets import (
     random_suitable_interval,
     smooth_numbers,
 )
-from divdim.pipeline import _build_coverfree_zone, plan
+from divdim.pipeline import _build_coverfree_zone, _coverfree_zone, plan
 from divdim.posets import FinitePoset, verify_embedding
 from divdim.primes import sieve_primes
 from divdim.rng import LANES, MASK64, SplitMix64, child_seed
+from zone_reference import _first_containment_mismatch
+from zone_reference import smooth_nodes as reference_smooth_nodes
 
 TABLE = sieve_primes(10**4)
 
@@ -342,6 +347,101 @@ def test_suitability_tiny_intervals(length, count, path):
             )
 
 
+# --- the one-prime pass ---------------------------------------------------------
+# The numpy check reads the one-prime nodes, the zone primes up to n, in
+# batches straight from the rank matrix and walks only the multi-prime
+# nodes; a SUITABILITY_BLOCK of a few rows' worth splits that pass.
+
+
+def first_failing_indices(n, primes, rows):
+    """First index of the first failing one-prime node and of the first
+    failing multi-prime node in walk order, each None if none fails."""
+    single = multi = None
+    for _, ind in itertools.islice(reference_smooth_nodes(primes, n, True), 1, None):
+        tops = [max(row[i] for i in ind) for row in rows]
+        if any(
+            all(row[p] < top for row, top in zip(rows, tops))
+            for p in range(len(primes))
+            if p not in ind
+        ):
+            if len(ind) == 1 and single is None:
+                single = ind[0]
+            if len(ind) > 1 and multi is None:
+                multi = ind[0]
+    return single, multi
+
+
+@pytest.mark.parametrize("block", [4, 1 << 20])
+def test_suitability_one_prime_failure_against_multi_prime_failure(block, path, monkeypatch):
+    # walk order is the lexicographic order of the index tuples, so a
+    # failing one-prime node i comes first exactly when every failing
+    # multi-prime node has first index j >= i.  j > i cannot occur: a
+    # multi-prime node past i makes (i, i + 1) and (i, i + 2) nodes, and
+    # the prime below i in every row is missing from one of them
+    monkeypatch.setattr(divposets, "SUITABILITY_BLOCK", block)
+    rng = random.Random(5)
+    seen = set()
+    for _ in range(150):
+        primes = TABLE.primes_in(rng.choice((3, 5, 10, 20)), rng.choice((30, 50, 80)))
+        n = rng.choice((500, 1000, 2500, 6000))
+        rows = [rng.sample(range(len(primes)), len(primes)) for _ in range(rng.randint(1, 4))]
+        new = check_interval_suitability(n, primes, rows)
+        assert_same(new, bitset_interval_suitability(n, primes, rows))
+        i, j = first_failing_indices(n, primes, rows)
+        if i is None:
+            continue
+        kind = "i only" if j is None else "j < i" if j < i else "j = i" if j == i else "j > i"
+        seen.add(kind)
+        m = new.witness[0]
+        if kind == "j < i":
+            assert m != primes[j] and min(p for p in primes if m % p == 0) == primes[j]
+        else:
+            assert m == primes[i]
+    assert seen == {"i only", "j < i", "j = i"}
+
+
+def test_suitability_zone_primes_above_n_are_not_nodes(path, monkeypatch):
+    # the primes in (n, 2n] rank above every prime up to n in every row:
+    # as one-prime nodes they would fail, but no m <= n holds one
+    monkeypatch.setattr(divposets, "SUITABILITY_BLOCK", 1 << 10)
+    n = 4000
+    below = TABLE.primes_in(n**0.5, n)
+    primes = TABLE.primes_in(n**0.5, 2 * n)
+    lifted = list(range(len(below), len(primes)))
+    rows = random_suitable_interval(n, n**0.5, n, 3, TABLE).rank_rows()
+    assert len(below) > (1 << 10) // len(rows)
+    for size in (len(rows), 8):
+        cut = [row + lifted for row in rows[:size]]
+        new = check_interval_suitability(n, primes, cut)
+        assert_same(new, bitset_interval_suitability(n, primes, cut))
+        assert new.ok == (size == len(rows))
+
+
+@pytest.mark.parametrize("block", [1 << 8, 1 << 10])
+def test_suitability_zone_without_multi_prime_nodes(block, path, monkeypatch):
+    # above sqrt(n) every node is one prime, checked in several batches
+    monkeypatch.setattr(divposets, "SUITABILITY_BLOCK", block)
+    n = 4000
+    primes = TABLE.primes_in(n**0.5, n)
+    rows = random_suitable_interval(n, n**0.5, n, 9, TABLE).rank_rows()
+    for size in (len(rows), 12, 8, 2):
+        assert len(primes) > block // size
+        new = check_interval_suitability(n, primes, rows[:size])
+        assert_same(new, bitset_interval_suitability(n, primes, rows[:size]))
+        assert new.ok == (size == len(rows))
+
+
+def test_suitability_1539_zone_fails_at_a_two_prime_node(path, monkeypatch):
+    # the n = 1539, eps = 0.001 zone (27, 49] under the identity and its
+    # reverse: no one-prime node fails, and 1073 = 29 * 37 skips 31
+    monkeypatch.setattr(divposets, "SUITABILITY_BLOCK", 2)
+    primes = TABLE.primes_in(27, 49)
+    rows = [list(range(6)), list(range(5, -1, -1))]
+    new = check_interval_suitability(1539, primes, rows)
+    assert new.witness == (1073, 31)
+    assert_same(new, bitset_interval_suitability(1539, primes, rows))
+
+
 def test_suitability_requires_ascending_primes(path):
     # over (7, 17, 11) the walk stopped at 7 * 17 > 100 and never reached 77
     rows = [[0, 2, 1], [2, 0, 1]]
@@ -538,6 +638,75 @@ def test_embedding_matches_oracle_on_random_families():
     assert {"ok", "order-created"} <= outcomes
 
 
+def oracle_embedding_verdict(n, primes, family) -> Verdict:
+    """``_first_containment_mismatch`` over the squarefree elements by value."""
+    nodes = sorted(reference_smooth_nodes(primes, n, True))
+    members = family.masks()
+    source = [sum(1 << i for i in ind) for _, ind in nodes]
+    image = [functools.reduce(operator.or_, [members[i] for i in ind], 0) for _, ind in nodes]
+    found = _first_containment_mismatch(source, image)
+    if found is None:
+        return Verdict(True)
+    a, b, kind = found
+    return Verdict(False, (nodes[a][0], nodes[b][0], kind))
+
+
+def planted_covers(family, count, length, rng):
+    """``count`` families in which one of the first ``length`` members is
+    replaced by a union that holds one to three others, or by a subset of
+    another."""
+    sets = list(family.sets)
+    while count:
+        j = rng.randrange(length)
+        others = rng.sample([k for k in range(length) if k != j], 3)
+        if rng.random() < 0.5:
+            chosen = others[: rng.randint(1, 3)]
+            new = frozenset().union(*(sets[k] for k in chosen))
+            if len(chosen) == 1:
+                new |= sets[j]  # one other member alone would repeat it
+        else:
+            new = frozenset(e for e in sets[others[0]] if rng.random() < 0.6)
+        if new in sets:
+            continue
+        yield SetFamily(family.ground_size, tuple(sets[:j] + [new] + sets[j + 1 :]))
+        count -= 1
+
+
+@pytest.mark.parametrize("n", [10**3, 10**4, 10**5])
+def test_embedding_matches_two_sided_oracle_on_union_images(n):
+    # the check runs one prime at a time: union images keep containment,
+    # so only "order-created" can fail, and first at a prime
+    table = sieve_primes(n)
+    zones = [z for z in plan(n, 0.5, table).zones if z.kind == "cover-free"]
+    assert zones
+    rng = random.Random(n)
+    kinds = set()
+    for zone in zones:
+        cert = _coverfree_zone(zone)
+        family = SetFamily(cert.ground_size, tuple(map(frozenset, cert.family)))
+        _, verdict = coverfree_embedding(n, zone.lo, zone.hi, family, cert.r, table)
+        assert verdict
+        assert_same(verdict, oracle_embedding_verdict(n, zone.primes, family))
+        for planted in planted_covers(family, 30, len(zone.primes), rng):
+            _, verdict = coverfree_embedding(n, zone.lo, zone.hi, planted, cert.r, table)
+            assert_same(verdict, oracle_embedding_verdict(n, zone.primes, planted))
+            kinds.add(verdict.witness[2] if not verdict else "ok")
+    assert "order-created" in kinds
+
+
+def test_embedding_matches_two_sided_oracle_with_an_empty_member():
+    family = eff_family(build_field(3, 1), 1)
+    primes = TABLE.primes_in(3, 31)
+    for j in (0, 4, 8):
+        sets = list(family.sets)
+        sets[j] = frozenset()
+        planted = SetFamily(family.ground_size, tuple(sets))
+        for n in (9, 35, 100):
+            _, verdict = coverfree_embedding(n, 3, 31, planted, 5, TABLE)
+            assert_same(verdict, oracle_embedding_verdict(n, primes, planted))
+            assert verdict.ok == (primes[j] > n)
+
+
 def test_mask_check_matches_verify_embedding_both_directions():
     # arbitrary images, not unions of members, so order can also be lost
     rng = random.Random(7)
@@ -554,7 +723,7 @@ def test_mask_check_matches_verify_embedding_both_directions():
         targets = sorted(set(as_sets), key=sorted)
         target = FinitePoset.from_predicate(targets, lambda x, y: x <= y)
         expected = verify_embedding(source, target, dict(enumerate(as_sets)))
-        found = divposets._first_containment_mismatch(masks, images)
+        found = _first_containment_mismatch(masks, images)
         assert found == (None if expected else expected.witness)
         if found:
             kinds.add(found[2])

@@ -260,6 +260,14 @@ def test_embedding_hypothesis_failures_named():
     assert "primes" in str(err.value)
 
 
+def test_embedding_refuses_an_empty_interval():
+    # as random_suitable_interval does: (a, b] with a >= b holds no prime
+    family = eff_family(build_field(3, 1), 1)
+    for a, b in ((30, 20), (20, 20)):
+        with pytest.raises(DomainError, match="a < b"):
+            coverfree_embedding(100, a, b, family, 2, TABLE)
+
+
 def test_embedding_catches_non_cover_free_family():
     # {0}, {1}, {0,1} is not cover-free; with n = 35 the qualifying
     # composite 35 = 5*7 maps onto the image of the prime 11, which the

@@ -8,11 +8,17 @@ tuples under rows as recorded through ``pipeline._colex_places``.
 ``smooth_nodes`` is the zone walk with one recursive generator per
 node, whose order ``divposets.smooth_nodes`` must keep: the
 suitability witness is the first failing number in that order.
+``_first_containment_mismatch`` is the two-sided embedding check, one
+element at a time on each side, that ``divposets.coverfree_embedding``,
+which checks union images one prime at a time, must agree with.
 """
 
+import functools
+import operator
 from typing import Callable, Iterator, Sequence
 
 from divdim.pipeline import _colex_places, _padded, _rank_matrix
+from divdim.posets import _coversets
 
 
 def _zone_owns(zones) -> Callable[[dict[int, int]], dict[int, tuple]]:
@@ -62,3 +68,38 @@ def smooth_nodes(
                 ind += (i,)
 
     return rec(0, 1, ())
+
+
+def _first_containment_mismatch(
+    source: Sequence[int], image: Sequence[int]
+) -> tuple[int, int, str] | None:
+    """First (a, b) in row-major order where containment is not preserved.
+
+    ``source[k]`` and ``image[k]`` are sets as bitmasks.  This is
+    ``verify_embedding`` for the map source[k] -> image[k] between the
+    two containment orders: (a, b, "order-lost") when source[a] is
+    contained in source[b] but image[a] not in image[b], (a, b,
+    "order-created") for the converse.  Each side's columns, the rows
+    holding each element as a bitmask, come from one ``_coversets``; the
+    rows holding all of a's elements are the AND of their columns, so a
+    row costs |a| big-int ANDs, not a scan of b.
+    """
+    everyone = (1 << len(source)) - 1
+
+    def holding(mask: int, held: dict[int, int]) -> int:
+        rows = everyone
+        while mask:
+            low = mask & -mask
+            rows &= held[low.bit_length() - 1]
+            mask ^= low
+        return rows
+
+    source_held = _coversets(source, functools.reduce(operator.or_, source, 0))
+    image_held = _coversets(image, functools.reduce(operator.or_, image, 0))
+    for a, (mask, img) in enumerate(zip(source, image)):
+        above = holding(mask, source_held)
+        differ = above ^ holding(img, image_held)
+        if differ:
+            b = (differ & -differ).bit_length() - 1
+            return a, b, "order-lost" if above >> b & 1 else "order-created"
+    return None
