@@ -238,7 +238,7 @@ def verify_cover_free(
             if checks > EXHAUSTIVE_CHECK_GUARD:
                 raise ResourceLimitError(
                     f"{checks} containment checks exceed guard {EXHAUSTIVE_CHECK_GUARD}; "
-                    "request sampled mode explicitly"
+                    f"sample them with divdim coverfree verify --family FILE --r {r} --sampled N"
                 )
         for i, target in enumerate(masks):
             others = [j for j in range(m) if j != i]

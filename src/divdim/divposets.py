@@ -29,8 +29,8 @@ RETRY_BUDGET = 8
 # sooner than importing numpy (about 0.1 s) would, so small certificates
 # are built without numpy.
 NUMPY_MIN_WORK = 1 << 16
-# (row, node) pairs per batch, (node, prime) cells per prefilter chunk and
-# prefilter survivors per row-filter pass of the numpy suitability check
+# (row, node) pairs per batch and (node, prime) cells per prefilter chunk of
+# the numpy suitability check; a chunk's survivors are filtered together
 SUITABILITY_BLOCK = 1 << 20
 # nodes per chunk of the suitability prefilter, which sorts nodes by count
 _CHUNK_NODES = 256
@@ -242,16 +242,27 @@ def _chunks(sorted_count):
         first = last
 
 
-def _prefiltered(ranks, at_rank, tops):
-    """Blocks of (node, candidate) pairs of a batch that pass the prefilter.
+def _first_uncovered(ranks, at_rank, tops, indices) -> tuple[int, int] | None:
+    """(node, prime index) of the first uncovered pair among a batch of nodes.
+
+    ``tops[r, k]`` is node k's top rank in row r and ``indices[k]`` its
+    prime indices; a shallower node is padded with its own first index,
+    which changes neither its top nor its primes.  A prime outside the
+    node is uncovered when it ranks below the top in every row, so its
+    candidates are the ranks below the node's lowest top: a slice of that
+    row's inverse permutation.
 
     A prime below node k's top in every row is below half the ranks in
     each row where the top is at or below half.  ``low[p]`` holds the rows,
     among the first 64, where p ranks below half, and ``need[k]`` those
-    where k's top is at or below half; a candidate p of k passes only if
-    ``need[k] & ~low[p]`` is 0.  Each chunk of ``_chunks`` is one dense
-    AND over the first ranks of its nodes' best rows, and the passing
-    pairs are yielded in blocks of about SUITABILITY_BLOCK.
+    where k's top is at or below half; a candidate p of k passes this
+    prefilter only if ``need[k] & ~low[p]`` is 0.  Each chunk of
+    ``_chunks`` is one dense AND over the first ranks of its nodes' best
+    rows, and its survivors (about 2**-20 of the candidates for 40 random
+    rows) are filtered row by row.  A node's candidates all lie in its
+    chunk, so once node k fails, later chunks keep only the nodes below k.
+    The witness is the first failing node, then its lowest uncovered
+    prime index.
     """
     import numpy as np
 
@@ -263,9 +274,11 @@ def _prefiltered(ranks, at_rank, tops):
     order = np.argsort(count, kind="stable")
     sorted_count = count[order]
     lacks = np.invert(low[at_rank[:, : sorted_count[-1]]])
-    pending, size = [], 0
+    found = None
     for first, last in _chunks(sorted_count):
         chunk = order[first:last]
+        if found is not None:
+            chunk = chunk[chunk < found[0]]
         width = sorted_count[last - 1]
         passed = (lacks[best[chunk], :width] & need[chunk, None]) == 0
         # past a node's own count sit its top prime, which passes, and primes above it
@@ -273,35 +286,8 @@ def _prefiltered(ranks, at_rank, tops):
         hit = np.flatnonzero(passed.any(axis=1))
         if not hit.size:
             continue
-        nodes, passed = chunk[hit], passed[hit]
-        pending.append(
-            (np.repeat(nodes, passed.sum(axis=1)), at_rank[best[nodes], :width][passed])
-        )
-        size += pending[-1][0].size
-        if size >= SUITABILITY_BLOCK:
-            yield tuple(map(np.concatenate, zip(*pending)))
-            pending, size = [], 0
-    if pending:
-        yield tuple(map(np.concatenate, zip(*pending)))
-
-
-def _first_uncovered(ranks, at_rank, tops, indices) -> tuple[int, int] | None:
-    """(node, prime index) of the first uncovered pair among a batch of nodes.
-
-    ``tops[r, k]`` is node k's top rank in row r and ``indices[k]`` its
-    prime indices; a shallower node is padded with its own first index,
-    which changes neither its top nor its primes.  A prime outside the
-    node is uncovered when it ranks below the top in every row, so its
-    candidates are the ranks below the node's lowest top: a slice of that
-    row's inverse permutation.  The candidates that pass ``_prefiltered``
-    (about 2**-20 of them for 40 random rows) are filtered row by row.
-    The witness is the first failing node, then its lowest uncovered
-    prime index.
-    """
-    import numpy as np
-
-    found = None
-    for node, cand in _prefiltered(ranks, at_rank, tops):
+        node, passed = chunk[hit], passed[hit]
+        node, cand = np.repeat(node, passed.sum(axis=1)), at_rank[best[node], :width][passed]
         for r in range(len(ranks)):
             keep = np.flatnonzero(ranks[r][cand] < tops[r][node])
             node, cand = node[keep], cand[keep]
@@ -312,8 +298,7 @@ def _first_uncovered(ranks, at_rank, tops, indices) -> tuple[int, int] | None:
         node, cand = node[outside], cand[outside]
         if node.size:
             k = node.min()
-            pair = int(k), int(cand[node == k].min())
-            found = pair if found is None else min(found, pair)
+            found = int(k), int(cand[node == k].min())
     return found
 
 
@@ -337,11 +322,11 @@ def check_interval_suitability(
     comes first unless a multi-prime node whose first index is below i
     fails too.  Each candidate (m, p) passes a one-word bitmask prefilter
     over the first 64 rows before the exact row filter (see
-    ``_prefiltered``).  Memory is O(rows * len(primes)) for the rows and
+    ``_first_uncovered``).  Memory is O(rows * len(primes)) for the rows and
     their inverse, O(multi-prime nodes) for their list, plus per batch of
     nodes one mask word per prime and node, a rows x (largest candidate
-    count) mask table, and blocks of SUITABILITY_BLOCK prefilter cells
-    and survivors.
+    count) mask table, and one prefilter chunk of ``_chunks`` with its
+    survivors.
     """
     if not all(map(operator.lt, primes, primes[1:])):
         raise DomainError("primes must be strictly ascending")

@@ -14,6 +14,7 @@ import itertools
 import math
 import operator
 import random
+import time
 
 import pytest
 
@@ -332,6 +333,26 @@ def test_suitability_first_failure_across_survivor_blocks(count, block, monkeypa
         new = check_interval_suitability(n, primes, rows)
         assert not new
         assert_same(new, bitset_interval_suitability(n, primes, rows))
+
+
+def test_suitability_failing_zone_stops_at_its_witness(monkeypatch):
+    # 4 drawn rows fail on the n = 2*10^5 top zone at its first prime; the
+    # numpy check stops there instead of filtering every zone prime's
+    # candidates, and the Python path gives the same witness
+    import numpy  # noqa: F401  (its import is not part of the timing)
+
+    n = 2 * 10**5
+    table = sieve_primes(n)
+    primes = [z for z in plan(n, 0.5, table).zones if z.kind == "random-suitable"][-1].primes
+    assert len(primes) == 17885
+    rows = draw_interval_perms(primes, 7, 0, 4)
+    start = time.perf_counter()
+    verdict = check_interval_suitability(n, primes, rows)
+    elapsed = time.perf_counter() - start
+    assert (verdict.ok, verdict.witness) == (False, (541, 613))
+    assert elapsed < 0.5
+    monkeypatch.setattr(divposets, "NUMPY_MIN_WORK", 1 << 62)
+    assert_same(check_interval_suitability(n, primes, rows), verdict)
 
 
 @pytest.mark.parametrize("length", [1, 2, 3])
