@@ -499,7 +499,7 @@ def random_suitable_interval(
     """Draw and verify a suitable set for the primes in (a, b].
 
     Failed draws are retried with derived child seeds, at the sizes of
-    ``suitable_draw_size``.
+    ``suitable_draw_size``.  ``divdim suitable`` calls it; the build does not.
     """
     if a < 2:
         raise DomainError("a must be at least 2 so log a is positive")

@@ -18,16 +18,14 @@ from dataclasses import dataclass, field, fields
 from typing import Iterable, Iterator, Sequence
 
 from . import divposets
-from .base import DomainError, O1_DROPPED_NOTE, RetryBudgetError
+from .base import DomainError, O1_DROPPED_NOTE, RetryBudgetError, Verdict
 from .coverfree import SetFamily, build_field, eff_family
 from .divposets import (
-    RETRY_BUDGET,
     BoostParams,
     boost_params,
     check_interval_suitability,
     coverfree_embedding,
     draw_interval_perms,
-    random_suitable_interval,
     suitable_draw_size,
 )
 from .primes import PrimeTable, factorize_many, prime_power_base, sieve_primes
@@ -158,6 +156,9 @@ class ChainZoneCert:
     def check_shape(self) -> None:
         """Nothing to check: the primes alone give the chains."""
 
+    def rows(self) -> None:
+        """None: each prime is a chain coordinate of its own, with no rows."""
+
 
 @dataclass(frozen=True)
 class SuitableZoneCert:
@@ -184,6 +185,9 @@ class SuitableZoneCert:
         for row in self.ranks:
             if len(row) != len(self.primes) or min(row, default=0) < 0:
                 raise DomainError("malformed rank row")
+
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        return self.ranks
 
 
 @dataclass(frozen=True)
@@ -227,25 +231,17 @@ class CoverFreeZoneCert:
         For each ground permutation sigma, primes are ordered by the
         colex key of their assigned member set (each element with
         exponent 1); that family of orderings is suitable for the zone's
-        squarefree supports.  The build and exhaustive verify check
-        these rows; sampled verify evaluates them.  A zone below
-        ``divposets.NUMPY_MIN_WORK`` colex codes (rows × summed member
-        sizes) is ranked in Python by ``_colex_ranks``, so a small build
-        or verify runs without numpy; a larger one by ``tau_places``.
-        The rows are the same.
+        squarefree supports.  A zone below ``divposets.NUMPY_MIN_WORK``
+        colex codes (rows × summed member sizes) is ranked in Python by
+        ``_colex_ranks``, so a small build or verify runs without numpy;
+        a larger one by ``_colex_places``.  The rows are the same.
         """
         members = self._members()
         if len(self.sigma_ranks) * sum(map(len, members)) < divposets.NUMPY_MIN_WORK:
             return [_colex_ranks(sigma, members) for sigma in self.sigma_ranks]
-        return self.tau_places().tolist()
+        return _colex_places(_rank_matrix(self.sigma_ranks), _padded(members)).tolist()
 
-    def tau_places(self):
-        """The rows of ``tau_rank_rows`` as one int64 matrix, from ``_colex_places``.
-
-        That is whatever the zone's size: sampled verify, which imports
-        numpy anyway, takes the rows from here.
-        """
-        return _colex_places(_rank_matrix(self.sigma_ranks), _padded(self._members()))
+    rows = tau_rank_rows
 
     def _members(self) -> list[tuple[tuple[int, int], ...]]:
         # each prime's assigned member set as an own: every element, exponent 1
@@ -426,9 +422,24 @@ def _derive_zone(n: int, zi: int, zp: ZonePlan, seed: int, retry_index: int):
         return _coverfree_zone(zp)
     zone_seed = child_seed(seed, zi)
     size = suitable_draw_size(n, zp.lo, len(zp.primes), retry_index)
-    # the rows stay lists: they are compared one at a time, never copied
     rows = draw_interval_perms(zp.primes, zone_seed, retry_index, size)
-    return SuitableZoneCert(zp.lo, zp.hi, zp.primes, zone_seed, retry_index, size, rows)
+    ranks = tuple(map(tuple, rows))
+    return SuitableZoneCert(zp.lo, zp.hi, zp.primes, zone_seed, retry_index, size, ranks)
+
+
+def _zone_verdict(n: int, zone) -> Verdict:
+    """``check_interval_suitability`` on the zone's ``rows``; chains pass."""
+    rows = zone.rows()
+    if rows is None:
+        return Verdict(True)
+    primes = zone.primes
+    # re-index by ascending prime only when the primes do not ascend: a
+    # copy of a large zone's rows would raise the build's peak memory
+    if any(a > b for a, b in zip(primes, primes[1:])):
+        order = sorted(range(len(primes)), key=primes.__getitem__)
+        primes = [primes[i] for i in order]
+        rows = [[row[i] for i in order] for row in rows]
+    return check_interval_suitability(n, primes, rows)
 
 
 def _build_coverfree_zone(n: int, zone: ZonePlan, table: PrimeTable) -> CoverFreeZoneCert:
@@ -443,7 +454,7 @@ def _build_coverfree_zone(n: int, zone: ZonePlan, table: PrimeTable) -> CoverFre
     _, verdict = coverfree_embedding(n, zone.lo, zone.hi, family, cert.r, table)
     if not verdict:
         raise RuntimeError(f"cover-free embedding failed verification: {verdict.witness}")
-    suit = check_interval_suitability(n, cert.primes, cert.tau_rank_rows())
+    suit = _zone_verdict(n, cert)
     if not suit:
         raise RuntimeError(f"derived orderings not suitable: {suit.witness}")
     return cert
@@ -454,37 +465,31 @@ def build_certificate(
 ) -> RealiserCertificate:
     """Assemble and constructively verify all zone coordinates.
 
-    Deterministic in (plan, seed): zone z draws from child_seed(seed, z),
-    and each randomized zone is verified before being recorded.
+    Deterministic in (plan, seed).  Integrity re-derives each zone with
+    ``_derive_zone`` and exhaustive verify checks it with
+    ``_zone_verdict``, so the build makes and checks it with the same
+    calls; a random-suitable zone takes the first passing retry index.
     """
     check_seed(seed)
     if table.limit < pl.n:
         raise DomainError("prime table does not cover n")
+    budget = divposets.RETRY_BUDGET  # read at call time, so it can be patched
     zones: list = []
-    for zi, zone in enumerate(pl.zones):
-        if zone.kind == "chains":
-            zones.append(ChainZoneCert(zone.lo, zone.hi, zone.primes))
-        elif zone.kind == "random-suitable":
-            zone_seed = child_seed(seed, zi)
-            try:
-                iss = random_suitable_interval(pl.n, zone.lo, zone.hi, zone_seed, table)
-            except RetryBudgetError as exc:
-                raise RetryBudgetError(f"zone {zi}: {exc}") from exc
-            zones.append(
-                SuitableZoneCert(
-                    lo=zone.lo,
-                    hi=zone.hi,
-                    primes=iss.primes,
-                    zone_seed=zone_seed,
-                    retry_index=iss.retry_index,
-                    target_size=iss.target_size,
-                    ranks=iss.ranks,
-                )
-            )
-        elif zone.kind == "cover-free":
-            zones.append(_build_coverfree_zone(pl.n, zone, table))
+    for zi, zp in enumerate(pl.zones):
+        if zp.kind == "cover-free":
+            zones.append(_build_coverfree_zone(pl.n, zp, table))
+            continue
+        for retry in range(budget if zp.kind == "random-suitable" else 1):
+            zone = _derive_zone(pl.n, zi, zp, seed, retry)
+            if _zone_verdict(pl.n, zone):
+                break
         else:
-            raise DomainError(f"unknown zone kind {zone.kind!r}")
+            size = suitable_draw_size(pl.n, zp.lo, len(zp.primes), budget - 1)
+            raise RetryBudgetError(
+                f"zone {zi}: no suitable set found for ({zp.lo}, {zp.hi}] with n={pl.n} "
+                f"in {budget} retries at draw size {size}"
+            )
+        zones.append(zone)
     dimension = sum(z.dimension for z in zones)
     return RealiserCertificate(
         n=pl.n,
@@ -616,17 +621,17 @@ _Zone = tuple[dict[int, int], Sequence[Sequence[int]]]
 def certificate_zones(cert: RealiserCertificate) -> list[_Zone]:
     """The certificate's zones, each a colex order per row on its primes.
 
-    A chain contributes one one-prime zone per prime, with the single
-    row (0,).  A cover-free zone's rows are its ``tau_rank_rows``, the
-    rows the build checked, taken from ``tau_places``.
+    A zone's rows are its ``rows()``, the rows the build checked.  A
+    chain, which has none, contributes one one-prime zone per prime,
+    with the single row (0,).
     """
     zones: list[_Zone] = []
     for zone in cert.zones:
-        if zone.kind == "chains":
+        rows = zone.rows()
+        if rows is None:
             zones.extend(({p: 0}, [(0,)]) for p in zone.primes)
-            continue
-        rows = zone.ranks if zone.kind == "random-suitable" else zone.tau_places().tolist()
-        zones.append(({p: i for i, p in enumerate(zone.primes)}, rows))
+        else:
+            zones.append(({p: i for i, p in enumerate(zone.primes)}, rows))
     return zones
 
 
@@ -755,8 +760,8 @@ def _integrity_failures(
         retry = getattr(zc, "retry_index", 0)  # the one recorded recipe input
         if zc.kind != zp.kind:
             detail = f"kind differs from the recomputed plan's {zp.kind!r}"
-        elif not 0 <= retry < RETRY_BUDGET:
-            detail = f"retry_index {retry!r} outside range({RETRY_BUDGET})"
+        elif not 0 <= retry < divposets.RETRY_BUDGET:
+            detail = f"retry_index {retry!r} outside range({divposets.RETRY_BUDGET})"
         else:
             detail = _first_difference(zc, _derive_zone(cert.n, zi, zp, cert.seed, retry))
         if detail:
@@ -796,10 +801,10 @@ def _verify_exhaustive(
     each prime of p's zone where m' has the larger exponent puts m above
     m'.  So the coordinates realise divisibility exactly when the zones
     partition the primes up to n and each zone's rows pass
-    ``check_interval_suitability``, whose witness (s, p) is the failing
-    pair (p, s); a prime in no zone fails as (p, 1).  A zone recording a
-    prime more than once, a number that is not a prime up to n, or rows
-    that are not permutations gets one line naming it.  Chains always pass.
+    ``_zone_verdict``, the build's check, whose witness (s, p) is the
+    failing pair (p, s); a prime in no zone fails as (p, 1).  A zone
+    recording a prime more than once, a number that is not a prime up to
+    n, or rows that are not permutations gets one line naming it.
     """
     n = cert.n
     if n < 2:
@@ -816,14 +821,8 @@ def _verify_exhaustive(
             why = "recorded more than once" if recorded[bad] > 1 else f"not a prime up to n={n}"
             failures.append((name, f"{bad} is {why}"))
             continue
-        if zone.kind == "chains":
-            continue
-        order = sorted(range(len(zone.primes)), key=zone.primes.__getitem__)
-        rows = zone.ranks if zone.kind == "random-suitable" else zone.tau_rank_rows()
-        if order != sorted(order):
-            rows = [[row[i] for i in order] for row in rows]
         try:
-            verdict = check_interval_suitability(n, [zone.primes[i] for i in order], rows)
+            verdict = _zone_verdict(n, zone)
         except DomainError as exc:  # a row that is not a permutation, or no rows
             failures.append((name, str(exc)))
             continue

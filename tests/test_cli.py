@@ -302,6 +302,9 @@ def test_inputs_beyond_word_cap_rejected(capsys):
     "n,seed,digest",
     [
         (150, 3, "e3821058664a235752667bb20834da31895edc71e552e49c8d6dfb295cc06439"),
+        # the random-suitable zones of these two pass only at retry index 1
+        (23, 0, "62cd6d529061e3876415100638f8c2d65125f9d686e1ec5744020ceee3ecbea7"),
+        (1738, 0, "fa9655396b9f76181f81427bc5c6d765543f17b649b8e00f9b6792a194f8ca7b"),
         (1000, 0, "4cbf348a3bce7f0736b64ff0e656c497ad0d06b4aab9b064f917469423d160c0"),
         (2000, 0, "b32e4835bc6452639d33e7f067c41e743877698348f847dc26478bf102c98488"),
         # the only pin that runs the block draw and the numpy suitability check
@@ -393,7 +396,10 @@ def test_certify_out_of_retries_exits_3_and_writes_nothing(tmp_path, capsys, mon
     monkeypatch.setattr(divposets, "RETRY_BUDGET", 0)
     cert = tmp_path / "cert.json"
     assert main(["certify", "--n", "1000", "--out", str(cert)]) == 3
-    assert capsys.readouterr().err.startswith("guard: zone 2: no suitable set found for ")
+    assert capsys.readouterr().err == (
+        "guard: zone 2: no suitable set found for (41.89287092792307, 1000.0] "
+        "with n=1000 in 0 retries at draw size 23\n"
+    )
     assert not cert.exists()
 
 
