@@ -22,13 +22,10 @@ from .divposets import (
     BoostParams,
     CoverFreeEmbedding,
     DivPosetSpec,
-    IntervalSuitableSet,
     boost_params,
     build_div_poset,
     coverfree_embedding,
-    random_suitable_interval,
     smooth_numbers,
-    verify_interval_suitable,
 )
 from .multisets import (
     Decomposition,
@@ -52,6 +49,7 @@ from .pipeline import (
     bound_table,
     build_certificate,
     plan,
+    random_suitable_interval,
     verify_certificate,
 )
 from .posets import (

@@ -28,7 +28,6 @@ from .coverfree import (
 from .divposets import (
     DivPosetSpec,
     build_div_poset,
-    random_suitable_interval,
     smooth_preorder,
 )
 from .pipeline import (
@@ -36,6 +35,7 @@ from .pipeline import (
     bound_table,
     build_certificate,
     plan,
+    random_suitable_interval,
     verify_certificate,
 )
 from .posets import DEFAULT_EXACT_GUARD, FinitePoset, exact_dimension, parse_edges
@@ -145,15 +145,17 @@ def _cmd_exact_dim(args) -> int:
 
 def _cmd_suitable(args) -> int:
     table = sieve_primes(max(args.n, 2))
-    s = random_suitable_interval(args.n, args.a, args.b, args.seed, table)
+    zone = random_suitable_interval(args.n, args.a, args.b, args.seed, table)
     if args.json:
-        Path(args.json).write_text(
-            json.dumps(s.to_json_dict(), sort_keys=True, indent=2) + "\n"
-        )
+        # the zone's fields, under the names this file has always used
+        data = dict(vars(zone), n=args.n)
+        for field, key in (("lo", "a"), ("hi", "b"), ("zone_seed", "seed")):
+            data[key] = data.pop(field)
+        Path(args.json).write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
     print(
         f"suitable set for ({args.a}, {args.b}], n={args.n}: "
-        f"{len(s.ranks)} permutations of {len(s.primes)} primes "
-        f"(seed {s.seed}, retry {s.retry_index})"
+        f"{len(zone.ranks)} permutations of {len(zone.primes)} primes "
+        f"(seed {zone.zone_seed}, retry {zone.retry_index})"
     )
     # random_suitable_interval returns a set only once
     # check_interval_suitability has passed on its rows

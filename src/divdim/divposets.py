@@ -1,9 +1,10 @@
 """Divisibility posets and constructions on their prime intervals.
 
 The two constructions here are the realiser seeds for prime intervals
-(a, b]: randomized suitable permutation sets, drawn and then verified
-deterministically, and embeddings of the squarefree part into a
-cover-free family, verified as poset embeddings.
+(a, b]: seeded draws of permutation rows with the deterministic check
+that they are suitable (``pipeline.random_suitable_interval`` retries
+the draw until one passes), and embeddings of the squarefree part into
+a cover-free family, verified as poset embeddings.
 """
 
 from __future__ import annotations
@@ -17,13 +18,13 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .base import DomainError, PreconditionError, RetryBudgetError, Verdict
+from .base import DomainError, PreconditionError, Verdict
 from .coverfree import SetFamily, greatest_prime_power
-from .multisets import Permutation
 from .posets import DEFAULT_EXACT_GUARD, FinitePoset, _coversets
 from .primes import PrimeTable
-from .rng import MASK64, SplitMix64, check_seed, child_seed
+from .rng import MASK64, SplitMix64, child_seed
 
+# draws per suitable set; pipeline.random_suitable_interval reads it per call
 RETRY_BUDGET = 8
 # Below this many draw outputs or (row, node) pairs, plain Python finishes
 # sooner than importing numpy (about 0.1 s) would, so small certificates
@@ -369,49 +370,6 @@ def check_interval_suitability(
     return Verdict(True) if witness is None else Verdict(False, witness)
 
 
-@dataclass(frozen=True)
-class IntervalSuitableSet:
-    """Verified suitable permutations of the primes in (a, b], with its seed.
-
-    ``ranks[j][i]`` is the rank of ``primes[i]`` in the j-th permutation.
-    """
-
-    n: int
-    a: float
-    b: float
-    primes: tuple[int, ...]
-    ranks: tuple[tuple[int, ...], ...]
-    seed: int
-    retry_index: int
-    target_size: int
-
-    @property
-    def perms(self) -> tuple[Permutation, ...]:
-        """The rank rows as Permutations, least prime first; built per access."""
-        perms = []
-        for row in self.ranks:
-            order: list[int | None] = [None] * len(self.primes)
-            for idx, rk in enumerate(row):
-                order[rk] = self.primes[idx]
-            perms.append(Permutation(self.primes, tuple(order)))
-        return tuple(perms)
-
-    def rank_rows(self) -> list[list[int]]:
-        return [list(row) for row in self.ranks]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "a": self.a,
-            "b": self.b,
-            "primes": list(self.primes),
-            "ranks": self.rank_rows(),
-            "seed": self.seed,
-            "retry_index": self.retry_index,
-            "target_size": self.target_size,
-        }
-
-
 def _block_rejects(values, bounds) -> bool:
     """Whether some output falls in randbelow's rejection region for its bound."""
     import numpy as np
@@ -491,49 +449,6 @@ def suitable_draw_size(n: int, a: float, length: int, attempt: int) -> int:
     else:
         d0 = min(math.ceil(math.log(n * length) * math.log(n) / math.log(a)), cap)
     return d0 if attempt < RETRY_BUDGET // 2 else min(2 * d0, cap)
-
-
-def random_suitable_interval(
-    n: int, a: float, b: float, seed: int, table: PrimeTable
-) -> IntervalSuitableSet:
-    """Draw and verify a suitable set for the primes in (a, b].
-
-    Failed draws are retried with derived child seeds, at the sizes of
-    ``suitable_draw_size``.  ``divdim suitable`` calls it; the build does not.
-    """
-    if a < 2:
-        raise DomainError("a must be at least 2 so log a is positive")
-    if not a < b <= n:
-        raise DomainError("need a < b <= n")
-    check_seed(seed)
-    primes = table.primes_in(a, b)
-    if not primes:
-        raise DomainError(f"no primes in ({a}, {b}]")
-    for attempt in range(RETRY_BUDGET):
-        size = suitable_draw_size(n, a, len(primes), attempt)
-        rows = draw_interval_perms(primes, seed, attempt, size)
-        verdict = check_interval_suitability(n, primes, rows)
-        if verdict:
-            return IntervalSuitableSet(
-                n=n,
-                a=a,
-                b=b,
-                primes=primes,
-                ranks=tuple(map(tuple, rows)),
-                seed=seed,
-                retry_index=attempt,
-                target_size=size,
-            )
-    raise RetryBudgetError(
-        f"no suitable set found for ({a}, {b}] with n={n} in {RETRY_BUDGET} "
-        f"retries at draw size {suitable_draw_size(n, a, len(primes), RETRY_BUDGET - 1)}"
-    )
-
-
-def verify_interval_suitable(s: IntervalSuitableSet) -> Verdict:
-    """Re-check a stored set with ``check_interval_suitability``, the same
-    check ``random_suitable_interval`` passed before it returned the set."""
-    return check_interval_suitability(s.n, s.primes, s.ranks)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,9 @@ prime), middle doubling intervals (cover-free colex coordinates when the
 numeric hypotheses hold, random suitable sets otherwise), and a large
 zone (random suitable sets).  The resulting coordinate list certifies an
 upper bound on the order dimension and can be re-verified independently
-from the recorded seeds and recipes.
+from the recorded seeds and recipes.  ``random_suitable_interval`` draws,
+checks and retries one random suitable set; the build calls it per zone,
+and ``divdim suitable`` calls it for a single interval.
 """
 
 from __future__ import annotations
@@ -411,20 +413,26 @@ def _derive_zone(n: int, zi: int, zp: ZonePlan, seed: int, retry_index: int):
     """Zone ``zi`` of the certificate for (plan, seed), given its one recipe input.
 
     Chains come from the plan alone and cover-free zones from its boost
-    parameters.  A random-suitable zone is the draw at ``retry_index``
-    (which must lie in range(RETRY_BUDGET)) of the stream
-    child_seed(seed, zi), at the size ``suitable_draw_size`` gives.  No
-    recorded value sizes a computation here.
+    parameters.  A random-suitable zone is ``_drawn_zone`` at
+    ``retry_index`` (which must lie in range(RETRY_BUDGET)) of the stream
+    child_seed(seed, zi).  No recorded value sizes a computation here.
     """
     if zp.kind == "chains":
         return ChainZoneCert(zp.lo, zp.hi, zp.primes)
     if zp.kind == "cover-free":
         return _coverfree_zone(zp)
-    zone_seed = child_seed(seed, zi)
-    size = suitable_draw_size(n, zp.lo, len(zp.primes), retry_index)
-    rows = draw_interval_perms(zp.primes, zone_seed, retry_index, size)
+    return _drawn_zone(n, zp.lo, zp.hi, zp.primes, child_seed(seed, zi), retry_index)
+
+
+def _drawn_zone(
+    n: int, lo: float, hi: float, primes: tuple[int, ...], zone_seed: int, retry_index: int
+) -> SuitableZoneCert:
+    """The draw at ``retry_index`` of the stream ``zone_seed`` for the
+    primes in (lo, hi], at the size ``suitable_draw_size`` gives; unchecked."""
+    size = suitable_draw_size(n, lo, len(primes), retry_index)
+    rows = draw_interval_perms(primes, zone_seed, retry_index, size)
     ranks = tuple(map(tuple, rows))
-    return SuitableZoneCert(zp.lo, zp.hi, zp.primes, zone_seed, retry_index, size, ranks)
+    return SuitableZoneCert(lo, hi, primes, zone_seed, retry_index, size, ranks)
 
 
 def _zone_verdict(n: int, zone) -> Verdict:
@@ -460,35 +468,61 @@ def _build_coverfree_zone(n: int, zone: ZonePlan, table: PrimeTable) -> CoverFre
     return cert
 
 
+def random_suitable_interval(
+    n: int, a: float, b: float, seed: int, table: PrimeTable
+) -> SuitableZoneCert:
+    """Draw and verify a suitable set for the primes in (a, b].
+
+    Retry i is ``_drawn_zone`` at index i of the stream ``seed``, checked
+    with ``_zone_verdict``; the first that passes is returned.  The
+    budget is ``divposets.RETRY_BUDGET``, read at call time so that it can
+    be patched.  ``build_certificate`` calls it for each random-suitable
+    zone with the zone's seed, and ``divdim suitable`` with the given one.
+    """
+    if a < 2:
+        raise DomainError("a must be at least 2 so log a is positive")
+    if not a < b <= n:
+        raise DomainError("need a < b <= n")
+    check_seed(seed)
+    primes = table.primes_in(a, b)
+    if not primes:
+        raise DomainError(f"no primes in ({a}, {b}]")
+    budget = divposets.RETRY_BUDGET
+    for retry in range(budget):
+        zone = _drawn_zone(n, a, b, primes, seed, retry)
+        if _zone_verdict(n, zone):
+            return zone
+    raise RetryBudgetError(
+        f"no suitable set found for ({a}, {b}] with n={n} in {budget} retries "
+        f"at draw size {suitable_draw_size(n, a, len(primes), budget - 1)}"
+    )
+
+
 def build_certificate(
     pl: PipelinePlan, seed: int, table: PrimeTable
 ) -> RealiserCertificate:
     """Assemble and constructively verify all zone coordinates.
 
-    Deterministic in (plan, seed).  Integrity re-derives each zone with
-    ``_derive_zone`` and exhaustive verify checks it with
-    ``_zone_verdict``, so the build makes and checks it with the same
-    calls; a random-suitable zone takes the first passing retry index.
+    Deterministic in (plan, seed).  A random-suitable zone is the first
+    passing retry of ``random_suitable_interval`` on the stream
+    child_seed(seed, zi); integrity re-derives it with ``_derive_zone``
+    and exhaustive verify checks it with ``_zone_verdict``, the calls
+    that retry makes.
     """
     check_seed(seed)
     if table.limit < pl.n:
         raise DomainError("prime table does not cover n")
-    budget = divposets.RETRY_BUDGET  # read at call time, so it can be patched
     zones: list = []
     for zi, zp in enumerate(pl.zones):
-        if zp.kind == "cover-free":
-            zones.append(_build_coverfree_zone(pl.n, zp, table))
-            continue
-        for retry in range(budget if zp.kind == "random-suitable" else 1):
-            zone = _derive_zone(pl.n, zi, zp, seed, retry)
-            if _zone_verdict(pl.n, zone):
-                break
+        if zp.kind == "random-suitable":
+            try:
+                zone = random_suitable_interval(pl.n, zp.lo, zp.hi, child_seed(seed, zi), table)
+            except RetryBudgetError as exc:
+                raise RetryBudgetError(f"zone {zi}: {exc}") from None
+        elif zp.kind == "cover-free":
+            zone = _build_coverfree_zone(pl.n, zp, table)
         else:
-            size = suitable_draw_size(pl.n, zp.lo, len(zp.primes), budget - 1)
-            raise RetryBudgetError(
-                f"zone {zi}: no suitable set found for ({zp.lo}, {zp.hi}] with n={pl.n} "
-                f"in {budget} retries at draw size {size}"
-            )
+            zone = _derive_zone(pl.n, zi, zp, seed, 0)  # chains: nothing to check
         zones.append(zone)
     dimension = sum(z.dimension for z in zones)
     return RealiserCertificate(

@@ -21,14 +21,13 @@ from divdim.coverfree import (
 from divdim.divposets import (
     DivPosetSpec,
     build_div_poset,
+    check_interval_suitability,
     coverfree_embedding,
-    random_suitable_interval,
     squarefree_support_sets,
     suitable_size_cap,
-    verify_interval_suitable,
 )
 from divdim.multisets import min_suitable, random_downset, support_family
-from divdim.pipeline import bound_table
+from divdim.pipeline import bound_table, random_suitable_interval
 from divdim.posets import exact_dimension
 from divdim.primes import prime_power_base, sieve_primes
 
@@ -138,10 +137,10 @@ def test_criterion_5_interval_suitable_instance():
     s = random_suitable_interval(10**4, 10, 10**4, 0, table)
     cap = suitable_size_cap(10**4, 10)
     assert cap == 74
-    assert len(s.perms) <= 74
-    assert verify_interval_suitable(s)
+    assert len(s.ranks) <= 74
+    assert check_interval_suitability(10**4, s.primes, s.ranks)
     report(
-        f"ACCEPTANCE 5 PASS: verified suitable set of size {len(s.perms)} <= 74 "
+        f"ACCEPTANCE 5 PASS: verified suitable set of size {len(s.ranks)} <= 74 "
         f"for (10, 10^4], retry {s.retry_index}"
     )
 

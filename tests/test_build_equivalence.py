@@ -25,10 +25,14 @@ from divdim.divposets import (
     check_interval_suitability,
     coverfree_embedding,
     draw_interval_perms,
-    random_suitable_interval,
     smooth_numbers,
 )
-from divdim.pipeline import _build_coverfree_zone, _coverfree_zone, plan
+from divdim.pipeline import (
+    _build_coverfree_zone,
+    _coverfree_zone,
+    plan,
+    random_suitable_interval,
+)
 from divdim.posets import FinitePoset, verify_embedding
 from divdim.primes import sieve_primes
 from divdim.rng import LANES, MASK64, SplitMix64, child_seed
@@ -173,7 +177,7 @@ def test_suitability_planted_failures_fail_alike(path):
     n = 4000
     primes = TABLE.primes_in(n**0.5, n)
     s = random_suitable_interval(n, n**0.5, n, 5, TABLE)
-    rows = s.rank_rows()
+    rows = [list(row) for row in s.ranks]
     assert check_interval_suitability(n, primes, rows)
     for size in (8, 12, 16):
         new = check_interval_suitability(n, primes, rows[:size])
@@ -300,7 +304,7 @@ def test_suitability_witness_is_first_in_walk_order(block, path, monkeypatch):
     n = 4000
     primes = TABLE.primes_in(n**0.5, n)
     length = len(primes)
-    rows = [list(r) for r in random_suitable_interval(n, n**0.5, n, 7, TABLE).rank_rows()]
+    rows = [list(r) for r in random_suitable_interval(n, n**0.5, n, 7, TABLE).ranks]
     early, late = 0, length - 10
     for r, row in enumerate(rows):
         # lift the early node to distinct high ranks, lowest in row 0
@@ -429,7 +433,7 @@ def test_suitability_zone_primes_above_n_are_not_nodes(path, monkeypatch):
     below = TABLE.primes_in(n**0.5, n)
     primes = TABLE.primes_in(n**0.5, 2 * n)
     lifted = list(range(len(below), len(primes)))
-    rows = random_suitable_interval(n, n**0.5, n, 3, TABLE).rank_rows()
+    rows = [list(r) for r in random_suitable_interval(n, n**0.5, n, 3, TABLE).ranks]
     assert len(below) > (1 << 10) // len(rows)
     for size in (len(rows), 8):
         cut = [row + lifted for row in rows[:size]]
@@ -444,7 +448,7 @@ def test_suitability_zone_without_multi_prime_nodes(block, path, monkeypatch):
     monkeypatch.setattr(divposets, "SUITABILITY_BLOCK", block)
     n = 4000
     primes = TABLE.primes_in(n**0.5, n)
-    rows = random_suitable_interval(n, n**0.5, n, 9, TABLE).rank_rows()
+    rows = [list(r) for r in random_suitable_interval(n, n**0.5, n, 9, TABLE).ranks]
     for size in (len(rows), 12, 8, 2):
         assert len(primes) > block // size
         new = check_interval_suitability(n, primes, rows[:size])

@@ -141,6 +141,48 @@ def test_suitable(tmp_path, capsys):
     assert len(data["ranks"]) == 19
 
 
+@pytest.mark.parametrize(
+    "args,line,digest",
+    [
+        (
+            "--n 10000 --a 10 --b 10000 --seed 0",
+            "suitable set for (10.0, 10000.0], n=10000: 66 permutations of 1225 primes "
+            "(seed 0, retry 0)",
+            "6ccfe0514e252d19e71cf105e1b65a1e70b3ca82f7cb115f02fa095d3c8edd86",
+        ),
+        # these two pass only at retry index 1
+        (
+            "--n 100 --a 7 --b 97 --seed 185",
+            "suitable set for (7.0, 97.0], n=100: 19 permutations of 21 primes "
+            "(seed 185, retry 1)",
+            "aef31d9a0cdac5715729ca47a40981f902c40bcca52498896ab9bc471f495ad0",
+        ),
+        (
+            "--n 2000 --a 28 --b 2000 --seed 38",
+            "suitable set for (28.0, 2000.0], n=2000: 31 permutations of 294 primes "
+            "(seed 38, retry 1)",
+            "ab049e7e48d2e0e9b6d6d0aab3acfcd00834891ff2abef16ba72e0931e322b91",
+        ),
+    ],
+)
+def test_suitable_output_is_pinned(tmp_path, capsys, args, line, digest):
+    out = tmp_path / "set.json"
+    assert main(["suitable", *args.split(), "--json", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == line
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_suitable_out_of_retries_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(divposets, "RETRY_BUDGET", 0)
+    out = tmp_path / "set.json"
+    assert main(["suitable", "--n", "100", "--a", "7", "--b", "97", "--json", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "guard: no suitable set found for (7.0, 97.0] with n=100 in 0 retries "
+        "at draw size 19\n"
+    )
+    assert not out.exists()
+
+
 def test_coverfree_build_and_verify(tmp_path, capsys):
     fam = tmp_path / "fam.json"
     assert main(

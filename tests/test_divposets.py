@@ -13,15 +13,14 @@ from divdim.divposets import (
     build_div_poset,
     check_interval_suitability,
     coverfree_embedding,
-    random_suitable_interval,
     smooth_nodes,
     smooth_numbers,
     smooth_preorder,
     squarefree_support_sets,
     suitable_size_cap,
-    verify_interval_suitable,
 )
 from divdim.multisets import min_suitable
+from divdim.pipeline import random_suitable_interval
 from divdim.posets import exact_dimension
 from divdim.primes import factorize, sieve_primes
 from zone_reference import smooth_nodes as reference_smooth_nodes
@@ -173,8 +172,8 @@ def test_interval_example_values():
     s = random_suitable_interval(100, 7, 97, 0, TABLE)
     assert len(s.primes) == 21
     assert s.target_size == 19  # ceil(log(2100) log(100) / log 7)
-    assert len(s.perms) <= suitable_size_cap(100, 7)
-    assert verify_interval_suitable(s)
+    assert len(s.ranks) <= suitable_size_cap(100, 7)
+    assert check_interval_suitability(100, s.primes, s.ranks)
 
 
 def test_only_trivial_products_qualify_above_sqrt():
@@ -183,14 +182,14 @@ def test_only_trivial_products_qualify_above_sqrt():
         1, 7, 11, 13, 17, 19, 23, 29,
     ]
     s = random_suitable_interval(30, 5, 30, 3, TABLE)
-    assert verify_interval_suitable(s)
+    assert check_interval_suitability(30, s.primes, s.ranks)
 
 
 def test_single_prime_interval_needs_one_permutation():
     s = random_suitable_interval(100, 11, 13, 9, TABLE)
-    assert len(s.perms) == 1
-    assert s.perms[0].order == (13,)
-    assert verify_interval_suitable(s)
+    assert s.primes == (13,)
+    assert s.ranks == ((0,),)
+    assert check_interval_suitability(100, s.primes, s.ranks)
 
 
 def test_identity_only_fails_with_witness():
@@ -221,14 +220,14 @@ def test_retry_budget_exhaustion_reports(monkeypatch):
 @settings(max_examples=12, deadline=None)
 def test_size_cap_invariant(seed):
     s = random_suitable_interval(200, 5, 50, seed, TABLE)
-    assert len(s.perms) <= suitable_size_cap(200, 5)
-    assert verify_interval_suitable(s)
+    assert len(s.ranks) <= suitable_size_cap(200, 5)
+    assert check_interval_suitability(200, s.primes, s.ranks)
 
 
 def test_draws_are_seed_deterministic():
     a = random_suitable_interval(500, 10, 100, 42, TABLE)
     b = random_suitable_interval(500, 10, 100, 42, TABLE)
-    assert a.rank_rows() == b.rank_rows()
+    assert a.ranks == b.ranks
     assert a.retry_index == b.retry_index
 
 
@@ -332,11 +331,3 @@ def test_squarefree_support_sets_match_enumeration():
     sets = squarefree_support_sets((2, 3, 5), 30)
     assert len(sets) == 8
     assert frozenset() in sets and frozenset({2, 3, 5}) in sets
-
-
-def test_interval_set_json_lists_primes_and_ranks():
-    s = random_suitable_interval(100, 7, 97, 0, TABLE)
-    data = s.to_json_dict()
-    assert data["primes"] == list(s.primes)
-    assert len(data["ranks"]) == len(s.perms)
-    assert data["seed"] == 0 and "retry_index" in data

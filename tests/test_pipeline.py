@@ -13,12 +13,7 @@ import divdim
 from divdim import pipeline
 from divdim.base import DomainError
 from divdim.coverfree import build_field, eff_family, verify_cover_free
-from divdim.divposets import (
-    DivPosetSpec,
-    build_div_poset,
-    coverfree_embedding,
-    random_suitable_interval,
-)
+from divdim.divposets import DivPosetSpec, build_div_poset, coverfree_embedding
 from divdim.multisets import random_downset
 from divdim.pipeline import (
     RealiserCertificate,
@@ -27,6 +22,7 @@ from divdim.pipeline import (
     build_certificate,
     certificate_zones,
     plan,
+    random_suitable_interval,
     verify_certificate,
 )
 from divdim.posets import exact_dimension
