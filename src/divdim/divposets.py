@@ -379,6 +379,25 @@ def _block_rejects(values, bounds) -> bool:
     return bool((values > np.uint64(MASK64) - excess).any())
 
 
+def _lane_swaps(rng: SplitMix64, length: int, count: int) -> Iterator[list[int]]:
+    """Each of ``count`` rows' swap targets for bounds L .. 2, as ``randbelow``
+    would draw them from ``rng``, taking a row's outputs from ``next_words``.
+
+    randbelow(b) keeps every output below accept_limit(b) > 2**64 - L for
+    b <= L, so a row whose largest word is at most 2**64 - L keeps all of
+    them; any other row is drawn again from its start by ``randbelow``.
+    """
+    bounds = range(length, 1, -1)
+    for _ in range(count):
+        state = rng.state
+        words = rng.next_words(len(bounds))
+        if max(words, default=0) <= MASK64 + 1 - length:
+            yield [word % bound for word, bound in zip(words, bounds)]
+        else:
+            rng.state = state
+            yield [rng.randbelow(bound) for bound in bounds]
+
+
 def _inverse(order: list[int], positions: list[int]) -> list[int]:
     """Ranks of a shuffled order, sharing the int objects of ``positions``.
 
@@ -402,9 +421,11 @@ def draw_interval_perms(
     i = L-1 .. 1, applied to range(L) in reverse order (i = 1 .. L-1),
     give its inverse, so the ranks are drawn directly.  Every value is
     one of the int objects of a single range(L) list, shared by all rows.
-    The outputs come from one block; should any be rejected by
-    ``randbelow`` (probability about L/2**64 each), or should the draw be
-    small, the swaps are drawn one ``randbelow`` at a time instead.
+    From NUMPY_MIN_WORK outputs on they come from one numpy block; below
+    it, or should the block hold an output that ``randbelow`` rejects
+    (probability about L/2**64 each), each row's come from
+    ``SplitMix64.next_words``, and a row whose words hold such an output
+    is drawn one ``randbelow`` at a time instead.
     """
     length = len(primes)
     positions = list(range(length))
@@ -419,8 +440,7 @@ def draw_interval_perms(
         if not _block_rejects(values, bounds):
             swaps = ((outputs % bounds).tolist() for outputs in values)
     if swaps is None:
-        rng = SplitMix64(start)
-        swaps = ([rng.randbelow(b) for b in range(length, 1, -1)] for _ in range(count))
+        swaps = _lane_swaps(SplitMix64(start), length, count)
     rows = []
     for row_swaps in swaps:
         ranks = positions[:]

@@ -18,16 +18,24 @@ from .base import DomainError
 MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
-# draws_below computes LANES outputs at once, lane k of one Python int
+# _lanes computes up to LANES outputs at once, lane k of one Python int
 # being bits [128k, 128k + 128).  Values stay below 2^64 between steps,
 # so a 64-bit multiply fills at most its own lane and never carries out.
-# _LANE reads each lane's low 64 bits in an explicit byte order, so the
+# Each lane's low 64 bits are read in an explicit byte order, so the
 # stream does not depend on the host's.
 LANES = 1024
-_LANE = struct.Struct("<" + "Q8x" * LANES)
+
+
+def _lane_format(count: int) -> str:
+    """struct format of ``count`` lanes, each read as its low 64 bits."""
+    return "<" + "Q8x" * count
+
+
 _ONES = int.from_bytes(b"\x01".ljust(16, b"\0") * LANES, "little")  # 1 in every lane
 _LOW = _ONES * MASK64
-_STEPS = _GAMMA * int.from_bytes(_LANE.pack(*range(1, LANES + 1)), "little")  # (k+1)*gamma
+_STEPS = _GAMMA * int.from_bytes(
+    struct.pack(_lane_format(LANES), *range(1, LANES + 1)), "little"
+)  # (k+1)*gamma
 
 
 def check_seed(seed: int) -> None:
@@ -38,7 +46,22 @@ def check_seed(seed: int) -> None:
 
 def accept_limit(bound: int) -> int:
     """randbelow(bound) keeps a 64-bit output exactly when it is below this."""
+    if not 1 <= bound <= MASK64 + 1:
+        raise ValueError(f"bound {bound} is outside 1..2^64")
     return (MASK64 + 1) - (MASK64 + 1) % bound
+
+
+def _lanes(state: int, count: int) -> tuple[int, ...]:
+    """mix(state + k * gamma) for k = 1 .. count, count <= LANES, in one int."""
+    ones, steps, low = _ONES, _STEPS, _LOW
+    if count < LANES:
+        bits = (1 << 128 * count) - 1
+        ones, steps, low = ones & bits, steps & bits, low & bits
+    z = (state * ones + steps) & low
+    z = ((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9 & low
+    z = ((z ^ (z >> 27)) & low) * 0x94D049BB133111EB & low
+    z ^= z >> 31  # what this spills into the high halves is never read
+    return struct.unpack(_lane_format(count), z.to_bytes(16 * count, "little"))
 
 
 class SplitMix64:
@@ -61,6 +84,8 @@ class SplitMix64:
         so a block is computed elementwise and equals ``count`` calls of
         ``next_u64``; the state advances past the block.
         """
+        if count < 0:
+            raise ValueError("count must be nonnegative")
         import numpy as np
 
         z = np.arange(1, count + 1, dtype=np.uint64)
@@ -74,10 +99,24 @@ class SplitMix64:
         self.state = (self.state + count * _GAMMA) & MASK64
         return z
 
+    def next_words(self, count: int) -> list[int]:
+        """The next ``count`` outputs as a list, without numpy.
+
+        The list twin of ``next_block``: it equals ``count`` calls of
+        ``next_u64``, computed up to LANES at a time, and the state advances
+        past it.
+        """
+        if count < 0:
+            raise ValueError("count must be nonnegative")
+        words = []
+        for done in range(0, count, LANES):
+            start = (self.state + done * _GAMMA) & MASK64
+            words += _lanes(start, min(LANES, count - done))
+        self.state = (self.state + count * _GAMMA) & MASK64
+        return words
+
     def randbelow(self, bound: int) -> int:
         """Uniform draw from range(bound), unbiased via rejection."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
         limit = accept_limit(bound)
         while True:
             v = self.next_u64()
@@ -92,16 +131,10 @@ class SplitMix64:
         LANES*gamma.  So unlike ``randbelow``, ``state`` moves a block at a
         time, ahead of the values taken so far.
         """
-        if bound <= 0:
-            raise ValueError("bound must be positive")
         limit = accept_limit(bound)
         while True:
-            z = (self.state * _ONES + _STEPS) & _LOW
+            words = _lanes(self.state, LANES)
             self.state = (self.state + LANES * _GAMMA) & MASK64
-            z = ((z ^ (z >> 30)) & _LOW) * 0xBF58476D1CE4E5B9 & _LOW
-            z = ((z ^ (z >> 27)) & _LOW) * 0x94D049BB133111EB & _LOW
-            z ^= z >> 31  # what this spills into the high halves is never read
-            words = _LANE.unpack(z.to_bytes(16 * LANES, "little"))
             yield from [v % bound for v in words if v < limit]
 
     def shuffle(self, items: list) -> None:

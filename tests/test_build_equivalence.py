@@ -6,7 +6,8 @@ the straightforward implementations: the per-row suffix-bitset
 suitability check kept below, the scalar ``SplitMix64.shuffle`` draw,
 and ``verify_embedding`` over ``FinitePoset``s or its two-sided mask
 form ``zone_reference._first_containment_mismatch``.  The block streams
-``next_block`` and ``draws_below`` must equal the scalar draws.
+``next_block``, ``draws_below`` and ``next_words`` must equal the scalar
+draws.
 """
 
 import functools
@@ -14,6 +15,7 @@ import itertools
 import math
 import operator
 import random
+import signal
 import time
 
 import pytest
@@ -35,7 +37,7 @@ from divdim.pipeline import (
 )
 from divdim.posets import FinitePoset, verify_embedding
 from divdim.primes import sieve_primes
-from divdim.rng import LANES, MASK64, SplitMix64, child_seed
+from divdim.rng import LANES, MASK64, SplitMix64, accept_limit, child_seed
 from zone_reference import _first_containment_mismatch
 from zone_reference import smooth_nodes as reference_smooth_nodes
 
@@ -626,6 +628,133 @@ def test_draws_below_equals_randbelow(bound):
         assert stream.state == (seed + blocks * LANES * gamma) & MASK64
 
 
+@pytest.mark.parametrize("count", [0, 1, 7, LANES - 1, LANES, LANES + 1, 2 * LANES + 7])
+def test_next_words_equals_next_u64_and_next_block(count):
+    for seed in (0, 1, MASK64):
+        words, scalar, block = SplitMix64(seed), SplitMix64(seed), SplitMix64(seed)
+        got = words.next_words(count)
+        assert got == [scalar.next_u64() for _ in range(count)]
+        assert got == block.next_block(count).tolist()
+        assert words.state == scalar.state == block.state
+        assert words.next_u64() == scalar.next_u64()
+
+
+def test_negative_counts_raise_and_keep_the_state():
+    rng = SplitMix64(5)
+    for method in (rng.next_block, rng.next_words):
+        with pytest.raises(ValueError, match="nonnegative"):
+            method(-3)
+        assert rng.state == 5
+
+
+@pytest.fixture
+def alarm():
+    """Fail a test that runs longer than 10 s instead of hanging."""
+
+    def expire(signum, frame):
+        raise TimeoutError("still running after 10 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("bound", [-1, 0, 2**64 + 1, 2**65])
+def test_bounds_outside_1_to_2_64_raise(bound, alarm):
+    # accept_limit(2**65) used to be 0, so both draws spun forever
+    with pytest.raises(ValueError, match="outside 1..2"):
+        accept_limit(bound)
+    with pytest.raises(ValueError, match="outside 1..2"):
+        SplitMix64(1).randbelow(bound)
+    with pytest.raises(ValueError, match="outside 1..2"):
+        next(SplitMix64(1).draws_below(bound))
+
+
+def test_bound_2_64_keeps_every_output():
+    assert accept_limit(2**64) == 2**64
+    a, b = SplitMix64(3), SplitMix64(3)
+    assert [a.randbelow(2**64) for _ in range(5)] == [b.next_u64() for _ in range(5)]
+
+
+@pytest.fixture
+def lanes(monkeypatch):
+    """Draw every row set from ``next_words``, however large."""
+    monkeypatch.setattr(divposets, "NUMPY_MIN_WORK", 1 << 62)
+
+
+@pytest.mark.parametrize(
+    "length, count",
+    [
+        (1024, 1),  # count * (L - 1) = LANES - 1, LANES, LANES + 1
+        (1025, 1),
+        (1026, 1),
+        (342, 3),
+        (257, 4),
+        (206, 5),
+        (1196, 31),  # the n = 10^4 top zone's draw
+        (0, 3),
+        (1, 3),
+        (2, 3),
+    ],
+)
+def test_lane_draw_equals_scalar_draw(length, count, lanes):
+    primes = tuple(range(length))
+    for seed, retry in ((0, 0), (MASK64, 2)):
+        assert draw_interval_perms(primes, seed, retry, count) == scalar_draw(
+            length, seed, retry, count
+        )
+
+
+def _unmix(z):
+    """The inverse of SplitMix64's output mix."""
+
+    def unshift(x, s):
+        y = x
+        for _ in range(64 // s):
+            y = x ^ (y >> s)
+        return y
+
+    z = unshift(z, 31) * pow(0x94D049BB133111EB, -1, 1 << 64) & MASK64
+    z = unshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & MASK64
+    return unshift(z, 30)
+
+
+@pytest.mark.parametrize(
+    "row, column, rejected", [(0, 0, True), (2, 48, False), (4, 17, True)]
+)
+def test_lane_draw_rejected_output_falls_back_to_randbelow(
+    row, column, rejected, lanes, monkeypatch
+):
+    # pick the seed whose stream puts MASK64 at the given row and column of
+    # the draw; randbelow(b) rejects it unless b is a power of 2, but the
+    # row goes to randbelow either way
+    gamma = 0x9E3779B97F4A7C15  # SplitMix64's published increment
+    length, count = 50, 5
+    index = row * (length - 1) + column
+    start = (_unmix(MASK64) - (index + 1) * gamma) & MASK64
+    seed = (_unmix(start) - gamma) & MASK64
+    assert child_seed(seed, 0) == start
+    assert (MASK64 >= accept_limit(length - column)) == rejected
+    expected = scalar_draw(length, seed, 0, count)
+    unforced = scalar_draw(length, seed, 1, count)
+    calls = []
+    randbelow = SplitMix64.randbelow
+
+    def counted(self, bound):
+        calls.append(bound)
+        return randbelow(self, bound)
+
+    monkeypatch.setattr(SplitMix64, "randbelow", counted)
+    primes = tuple(range(length))
+    assert draw_interval_perms(primes, seed, 0, count) == expected
+    # only the row holding the rejected output is drawn by randbelow
+    assert calls == list(range(length, 1, -1))
+    calls.clear()
+    assert draw_interval_perms(primes, seed, 1, count) == unforced
+    assert calls == []
+
 # --- embeddings ----------------------------------------------------------------------
 
 
@@ -787,3 +916,36 @@ def test_small_certificate_builds_without_numpy(tmp_path):
     built, verified, after_verify = done.stdout.splitlines()[3:]
     assert verified.startswith("PASS: exhaustive verification, 3998000 ordered pairs")
     assert (built, after_verify) == ("False", "False")
+
+
+def test_1e4_certificate_builds_and_verifies_without_numpy(tmp_path):
+    # the n = 10^4 top zone draws 31 rows of 1196 primes, 37,045 outputs,
+    # below NUMPY_MIN_WORK: they come from next_words, not numpy
+    import hashlib
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import divdim
+
+    cert = tmp_path / "cert.json"
+    script = (
+        "import sys; from divdim.cli import main; "
+        "main(['certify', '--n', '10000', '--seed', '0', '--out', sys.argv[1]]); "
+        "assert main(['verify', '--cert', sys.argv[1]]) == 0; "
+        "print('numpy' in sys.modules)"
+    )
+    src = str(Path(divdim.__file__).parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(cert)],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.splitlines()[-1] == "False"
+    assert "PASS: exhaustive verification, 99990000 ordered pairs" in done.stdout
+    assert hashlib.sha256(cert.read_bytes()).hexdigest() == (
+        "718cf5c99b654f643abce8e985ab0f14ef5e577f65c011dd167da7bbc673f01a"
+    )
