@@ -234,6 +234,17 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _general(n: int) -> str:
+    """n as ``f"{n:>12.6g}"`` prints it, also beyond the float range."""
+    try:
+        return f"{n:>12.6g}"
+    except OverflowError:
+        from decimal import Context  # 0.4 MB of RSS, so only when needed
+
+        six_digits = Context(prec=6)
+        return format(six_digits.create_decimal(n).normalize(six_digits), ">12g")
+
+
 def _cmd_bounds(args) -> int:
     certs = {}
     if args.cert:
@@ -255,7 +266,7 @@ def _cmd_bounds(args) -> int:
         k_s = str(r.middle_interval_count) if r.middle_interval_count else "-"
         flag = " (degenerate)" if r.degenerate else ""
         print(
-            f"{r.n:>12.6g} {r.lower:>12.4f} {r.upper_coarse:>14.4f} "
+            f"{_general(r.n)} {r.lower:>12.4f} {r.upper_coarse:>14.4f} "
             f"{r.upper_two_zone:>14.4f} {r.upper_three_zone:>14.4f} "
             f"{k_s:>3} {cert_s:>6}{flag}"
         )

@@ -370,34 +370,6 @@ def check_interval_suitability(
     return Verdict(True) if witness is None else Verdict(False, witness)
 
 
-def _block_rejects(values, bounds) -> bool:
-    """Whether some output falls in randbelow's rejection region for its bound."""
-    import numpy as np
-
-    # 2**64 % bound, computed in wrapping uint64 arithmetic
-    excess = (np.uint64(0) - bounds) % bounds
-    return bool((values > np.uint64(MASK64) - excess).any())
-
-
-def _lane_swaps(rng: SplitMix64, length: int, count: int) -> Iterator[list[int]]:
-    """Each of ``count`` rows' swap targets for bounds L .. 2, as ``randbelow``
-    would draw them from ``rng``, taking a row's outputs from ``next_words``.
-
-    randbelow(b) keeps every output below accept_limit(b) > 2**64 - L for
-    b <= L, so a row whose largest word is at most 2**64 - L keeps all of
-    them; any other row is drawn again from its start by ``randbelow``.
-    """
-    bounds = range(length, 1, -1)
-    for _ in range(count):
-        state = rng.state
-        words = rng.next_words(len(bounds))
-        if max(words, default=0) <= MASK64 + 1 - length:
-            yield [word % bound for word, bound in zip(words, bounds)]
-        else:
-            rng.state = state
-            yield [rng.randbelow(bound) for bound in bounds]
-
-
 def _inverse(order: list[int], positions: list[int]) -> list[int]:
     """Ranks of a shuffled order, sharing the int objects of ``positions``.
 
@@ -421,30 +393,37 @@ def draw_interval_perms(
     i = L-1 .. 1, applied to range(L) in reverse order (i = 1 .. L-1),
     give its inverse, so the ranks are drawn directly.  Every value is
     one of the int objects of a single range(L) list, shared by all rows.
-    From NUMPY_MIN_WORK outputs on they come from one numpy block; below
-    it, or should the block hold an output that ``randbelow`` rejects
-    (probability about L/2**64 each), each row's come from
-    ``SplitMix64.next_words``, and a row whose words hold such an output
-    is drawn one ``randbelow`` at a time instead.
+    Each row reads its own L-1 outputs: a numpy block
+    (``SplitMix64.next_block``) when the draw has NUMPY_MIN_WORK outputs or
+    more, ``SplitMix64.next_words`` below that.  randbelow(b) keeps every
+    output below accept_limit(b) > 2**64 - L for b <= L, so a row whose
+    largest output is at most 2**64 - L takes each output modulo its bound;
+    any other row (about L/2**64 per output) is drawn again from its start,
+    one ``randbelow`` per swap.
     """
     length = len(primes)
     positions = list(range(length))
-    start = child_seed(seed, retry_index)
-    swaps = None
-    if count * (length - 1) >= NUMPY_MIN_WORK:
+    bounds = range(length, 1, -1)
+    rng = SplitMix64(child_seed(seed, retry_index))
+    on_numpy = count * len(bounds) >= NUMPY_MIN_WORK
+    if on_numpy:
         import numpy as np
 
-        bounds = np.arange(length, 1, -1, dtype=np.uint64)
-        values = SplitMix64(start).next_block(count * (length - 1))
-        values = values.reshape(count, length - 1)
-        if not _block_rejects(values, bounds):
-            swaps = ((outputs % bounds).tolist() for outputs in values)
-    if swaps is None:
-        swaps = _lane_swaps(SplitMix64(start), length, count)
+        moduli = np.arange(length, 1, -1, dtype=np.uint64)
     rows = []
-    for row_swaps in swaps:
+    for _ in range(count):
+        state = rng.state
+        if on_numpy:
+            words = rng.next_block(len(bounds))
+            swaps, largest = (words % moduli).tolist(), int(words.max(initial=0))
+        else:
+            words = rng.next_words(len(bounds))
+            swaps, largest = list(map(operator.mod, words, bounds)), max(words, default=0)
+        if largest > MASK64 + 1 - length:
+            rng.state = state
+            swaps = [rng.randbelow(bound) for bound in bounds]
         ranks = positions[:]
-        for i, j in zip(range(1, length), reversed(row_swaps)):
+        for i, j in zip(range(1, length), reversed(swaps)):
             ranks[i], ranks[j] = ranks[j], ranks[i]
         rows.append(ranks)
     return rows

@@ -126,16 +126,13 @@ class SplitMix64:
     def draws_below(self, bound: int) -> Iterator[int]:
         """Iterator of the values that repeated ``randbelow(bound)`` calls return.
 
-        Each block computes the next LANES outputs in one Python int, lane k
-        starting from state + (k+1)*gamma, and then advances ``state`` by
-        LANES*gamma.  So unlike ``randbelow``, ``state`` moves a block at a
-        time, ahead of the values taken so far.
+        It reads ``next_words(LANES)`` at a time and keeps the outputs that
+        ``randbelow`` would, so unlike ``randbelow``, ``state`` moves LANES
+        outputs at a time, ahead of the values taken so far.
         """
         limit = accept_limit(bound)
         while True:
-            words = _lanes(self.state, LANES)
-            self.state = (self.state + LANES * _GAMMA) & MASK64
-            yield from [v % bound for v in words if v < limit]
+            yield from [v % bound for v in self.next_words(LANES) if v < limit]
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle driven by this stream."""

@@ -545,27 +545,10 @@ def test_draw_either_side_of_the_numpy_cutoff():
         assert draw_interval_perms(primes, 3, 1, count) == scalar_draw(9515, 3, 1, count)
 
 
-def test_rejection_fallback_keeps_rows(monkeypatch, block):
-    primes = tuple(range(50))
-    expected = draw_interval_perms(primes, 9, 1, 5)
-    calls = []
-
-    def always(values, bounds):
-        calls.append(values.shape)
-        return True
-
-    monkeypatch.setattr(divposets, "_block_rejects", always)
-    assert draw_interval_perms(primes, 9, 1, 5) == expected == scalar_draw(50, 9, 1, 5)
-    assert calls == [(5, 49)]
-
-
-@pytest.mark.parametrize("length", [1, 2, 3, 257])
-@pytest.mark.parametrize("fallback", [False, True], ids=["block", "rejection-fallback"])
-def test_draw_equals_scalar_draw_on_either_path(length, fallback, path, monkeypatch):
+@pytest.mark.parametrize("length", [1, 2, 3, 257], ids="block-{}".format)
+def test_draw_equals_scalar_draw_on_either_path(length, path):
     # the rank rows are the shuffle's swaps applied in reverse; that must
     # give the inverse of each shuffled order, whichever source the swaps have
-    if fallback:
-        monkeypatch.setattr(divposets, "_block_rejects", lambda values, bounds: True)
     primes = tuple(range(length))
     for seed, retry in ((0, 0), (5, 2), (MASK64, 1)):
         for count in (1, 3, 40):
@@ -579,19 +562,6 @@ def test_drawn_rows_share_one_int_object_per_rank():
     # of one range list, so the recorded rows cost no memory per value
     rows = draw_interval_perms(tuple(range(9515)), 0, 0, 40)
     assert len({id(v) for row in rows for v in row}) == 9515
-
-
-def test_block_rejection_region_matches_randbelow():
-    import numpy as np
-
-    for bound in (2, 3, 5, 7, 100, 9515, 2**32 + 1):
-        limit = (MASK64 + 1) - (MASK64 + 1) % bound
-        bounds = np.array([bound], dtype=np.uint64)
-        if limit <= MASK64:
-            assert divposets._block_rejects(np.array([[limit]], dtype=np.uint64), bounds)
-        assert not divposets._block_rejects(
-            np.array([[limit - 1]], dtype=np.uint64), bounds
-        )
 
 
 def test_child_seed_equals_stepping_the_stream():
@@ -725,11 +695,12 @@ def _unmix(z):
     "row, column, rejected", [(0, 0, True), (2, 48, False), (4, 17, True)]
 )
 def test_lane_draw_rejected_output_falls_back_to_randbelow(
-    row, column, rejected, lanes, monkeypatch
+    row, column, rejected, monkeypatch, request
 ):
     # pick the seed whose stream puts MASK64 at the given row and column of
     # the draw; randbelow(b) rejects it unless b is a power of 2, but the
-    # row goes to randbelow either way
+    # row goes to randbelow either way, whether its words come from
+    # next_words or next_block
     gamma = 0x9E3779B97F4A7C15  # SplitMix64's published increment
     length, count = 50, 5
     index = row * (length - 1) + column
@@ -748,12 +719,14 @@ def test_lane_draw_rejected_output_falls_back_to_randbelow(
 
     monkeypatch.setattr(SplitMix64, "randbelow", counted)
     primes = tuple(range(length))
-    assert draw_interval_perms(primes, seed, 0, count) == expected
-    # only the row holding the rejected output is drawn by randbelow
-    assert calls == list(range(length, 1, -1))
-    calls.clear()
-    assert draw_interval_perms(primes, seed, 1, count) == unforced
-    assert calls == []
+    for source in ("lanes", "block"):
+        request.getfixturevalue(source)
+        assert draw_interval_perms(primes, seed, 0, count) == expected
+        # only the row holding the rejected output is drawn by randbelow
+        assert calls == list(range(length, 1, -1))
+        calls.clear()
+        assert draw_interval_perms(primes, seed, 1, count) == unforced
+        assert calls == []
 
 # --- embeddings ----------------------------------------------------------------------
 

@@ -268,6 +268,14 @@ def test_bounds_json(capsys):
     assert rows[0]["n"] == 100
 
 
+def test_bounds_beyond_the_float_range(capsys):
+    # the text table used to raise OverflowError, and the CLI exit 1
+    assert main(["bounds", "--n", str(10**400)]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split()[0] == "1e+400"
+    assert main(["bounds", "--n", str(10**400), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)[0]["n"] == 10**400
+
+
 def test_bounds_reports_the_certificate_dimension(tmp_path, capsys):
     cert = tmp_path / "cert.json"
     assert main(["certify", "--n", "1000", "--seed", "0", "--out", str(cert)]) == 0
