@@ -392,7 +392,8 @@ def draw_interval_perms(
     ``SplitMix64.shuffle`` would.  The shuffle's swaps (i, j_i) for
     i = L-1 .. 1, applied to range(L) in reverse order (i = 1 .. L-1),
     give its inverse, so the ranks are drawn directly.  Every value is
-    one of the int objects of a single range(L) list, shared by all rows.
+    one of the int objects of a single range(L) list, shared by all rows;
+    step i writes that list's own i.
     Each row reads its own L-1 outputs: a numpy block
     (``SplitMix64.next_block``) when the draw has NUMPY_MIN_WORK outputs or
     more, ``SplitMix64.next_words`` below that.  randbelow(b) keeps every
@@ -423,8 +424,10 @@ def draw_interval_perms(
             rng.state = state
             swaps = [rng.randbelow(bound) for bound in bounds]
         ranks = positions[:]
-        for i, j in zip(range(1, length), reversed(swaps)):
-            ranks[i], ranks[j] = ranks[j], ranks[i]
+        # before step i, ranks[i] is still i: swap by two assignments
+        for i, j in zip(itertools.islice(positions, 1, None), reversed(swaps)):
+            ranks[i] = ranks[j]
+            ranks[j] = i
         rows.append(ranks)
     return rows
 

@@ -158,7 +158,7 @@ class ChainZoneCert:
     def check_shape(self) -> None:
         """Nothing to check: the primes alone give the chains."""
 
-    def rows(self) -> None:
+    def rows(self, start: int = 0, stop: int | None = None) -> None:
         """None: each prime is a chain coordinate of its own, with no rows."""
 
 
@@ -188,8 +188,9 @@ class SuitableZoneCert:
             if len(row) != len(self.primes) or min(row, default=0) < 0:
                 raise DomainError("malformed rank row")
 
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        return self.ranks
+    def rows(self, start: int = 0, stop: int | None = None) -> tuple[tuple[int, ...], ...]:
+        """The recorded rank rows, or those in range(start, stop)."""
+        return self.ranks[start:stop]
 
 
 @dataclass(frozen=True)
@@ -227,21 +228,25 @@ class CoverFreeZoneCert:
             if len(row) != self.ground_size or min(row, default=0) < 0:
                 raise DomainError("malformed ground permutation")
 
-    def tau_rank_rows(self) -> list[list[int]]:
+    def tau_rank_rows(self, start: int = 0, stop: int | None = None) -> list[list[int]]:
         """Zone-prime orderings induced by the family images.
 
         For each ground permutation sigma, primes are ordered by the
         colex key of their assigned member set (each element with
         exponent 1); that family of orderings is suitable for the zone's
-        squarefree supports.  A zone below ``divposets.NUMPY_MIN_WORK``
-        colex codes (rows × summed member sizes) is ranked in Python by
+        squarefree supports.  Row i reads sigma row i alone, so the rows
+        in range(start, stop) are those of that slice of ``sigma_ranks``.
+        A zone below ``divposets.NUMPY_MIN_WORK`` colex codes (all its
+        rows × summed member sizes) is ranked in Python by
         ``_colex_ranks``, so a small build or verify runs without numpy;
-        a larger one by ``_colex_places``.  The rows are the same.
+        a larger one by ``_colex_places``, whatever the slice.  The rows
+        are the same.
         """
         members = self._members()
+        sigmas = self.sigma_ranks[start:stop]
         if len(self.sigma_ranks) * sum(map(len, members)) < divposets.NUMPY_MIN_WORK:
-            return [_colex_ranks(sigma, members) for sigma in self.sigma_ranks]
-        return _colex_places(_rank_matrix(self.sigma_ranks), _padded(members)).tolist()
+            return [_colex_ranks(sigma, members) for sigma in sigmas]
+        return _colex_places(_rank_matrix(sigmas), _padded(members)).tolist()
 
     rows = tau_rank_rows
 
@@ -652,6 +657,19 @@ def _colex_places(ranks, parts: tuple):
 _Zone = tuple[dict[int, int], Sequence[Sequence[int]]]
 
 
+def _zone_columns(cert: RealiserCertificate) -> Iterator[tuple[dict[int, int], object]]:
+    """Each zone's prime -> column dict, with the zone whose ``rows`` rank them.
+
+    A chain, which has no rows, gives one one-prime dict per prime, with
+    None for the zone.
+    """
+    for zone in cert.zones:
+        if zone.rows(0, 0) is None:
+            yield from (({p: 0}, None) for p in zone.primes)
+        else:
+            yield {p: i for i, p in enumerate(zone.primes)}, zone
+
+
 def certificate_zones(cert: RealiserCertificate) -> list[_Zone]:
     """The certificate's zones, each a colex order per row on its primes.
 
@@ -659,14 +677,30 @@ def certificate_zones(cert: RealiserCertificate) -> list[_Zone]:
     chain, which has none, contributes one one-prime zone per prime,
     with the single row (0,).
     """
-    zones: list[_Zone] = []
-    for zone in cert.zones:
-        rows = zone.rows()
-        if rows is None:
-            zones.extend(({p: 0}, [(0,)]) for p in zone.primes)
-        else:
-            zones.append(({p: i for i, p in enumerate(zone.primes)}, rows))
-    return zones
+    return [
+        (index, [(0,)] if zone is None else zone.rows())
+        for index, zone in _zone_columns(cert)
+    ]
+
+
+class _RowBlocks:
+    """A zone's rank rows, each slice of them derived on first use and kept.
+
+    ``blocks[start:stop]`` is ``_rank_matrix(zone.rows(start, stop))``,
+    as a slice of the zone's whole rank matrix would be, so sampled
+    verify reads it as it reads a plain matrix but derives only the
+    blocks of rows that a pair reaches.
+    """
+
+    def __init__(self, zone) -> None:
+        self._zone = zone
+        self._made: dict[tuple, object] = {}
+
+    def __getitem__(self, rows: slice):
+        key = (rows.start, rows.stop)
+        if key not in self._made:
+            self._made[key] = _rank_matrix(self._zone.rows(rows.start, rows.stop))
+        return self._made[key]
 
 
 def _zone_table(zones: list[_Zone]):
@@ -900,15 +934,21 @@ def _sample_pairs(n: int, count: int, seed: int) -> Iterator:
 def _below_everywhere(zones: list[_Zone], table, a, b):
     """For each pair, whether a lies at or below b in every coordinate.
 
-    ``zones`` hold their rows as ``_rank_matrix`` gives them, and
-    ``table`` is ``_zone_table(zones)``.  The batch's distinct numbers go
-    through ``_zone_parts`` once each.  A zone's coordinates read only
-    the parts, and every row ranks equal parts equally, so a zone checks
-    only the pairs whose parts differ there.  It builds one place matrix
-    (``_colex_places``) for just the parts those pairs hold, since only
-    their order is read, and filters the pairs through it row by row,
-    keeping the ones no row has yet put a above b; so no matrix of
-    rows × pairs is made.
+    ``zones`` hold their rows as ``_rank_matrix`` gives them, or as
+    ``_RowBlocks``, which slice the same way, and ``table`` is
+    ``_zone_table(zones)``.  The batch's distinct numbers go through
+    ``_zone_parts`` once each.  A zone's coordinates read only the
+    parts, and a colex key only grows when an exponent grows or a prime
+    is added, whatever the row's values, ties and all: so a pair whose
+    part of a divides its part of b (the empty part divides every part)
+    is at or below in every row of the zone, and the zone checks only
+    the other pairs.  It reads its rows PLACES_BLOCK // SAMPLE_BATCH at
+    a time, from row 0 on.  Each block places (``_colex_places``) just
+    the parts that the pairs still live hold, since only their order is
+    read, and filters the pairs through it row by row, keeping the ones
+    no row has yet put a above b; the zone stops at the block after
+    which none is live, so no matrix of rows × pairs is made and later
+    blocks are not read.
     """
     import numpy as np
 
@@ -916,20 +956,40 @@ def _below_everywhere(zones: list[_Zone], table, a, b):
     ia, ib = index[: len(a)], index[len(a) :]
     parts, groups = _zone_parts(table, len(zones), numbers)
     below = np.ones(len(a), dtype=bool)
+    step = max(1, PLACES_BLOCK // SAMPLE_BATCH)
     for (_, ranks), (cols, exps), g in zip(zones, parts, groups):
-        live = np.flatnonzero(below & (g[ia] != g[ib]))
-        if not len(live):
-            continue
-        met, pair_parts = np.unique(
-            np.concatenate([g[ia[live]], g[ib[live]]]), return_inverse=True
-        )
-        pa, pb = pair_parts[: len(live)], pair_parts[len(live) :]
+        # equal parts and the empty part of a divide at once; test the rest
+        live = np.flatnonzero(below & (g[ia] != g[ib]) & (g[ia] != 0))
+        live = live[~_divides((cols, exps), g[ia[live]], g[ib[live]])]
         below[live] = False
-        for place in _colex_places(ranks, (cols[met], exps[met])):
-            keep = place[pa] <= place[pb]
-            live, pa, pb = live[keep], pa[keep], pb[keep]
+        start = 0
+        while len(live):
+            block = ranks[start : start + step]
+            if not len(block):
+                break
+            met, pair_parts = np.unique(
+                np.concatenate([g[ia[live]], g[ib[live]]]), return_inverse=True
+            )
+            pa, pb = pair_parts[: len(live)], pair_parts[len(live) :]
+            for place in _colex_places(block, (cols[met], exps[met])):
+                keep = place[pa] <= place[pb]
+                live, pa, pb = live[keep], pa[keep], pb[keep]
+            start += step
         below[live] = True
     return below
+
+
+def _divides(parts: tuple, pa, pb):
+    """For each k, whether part pa[k] divides part pb[k] exponentwise.
+
+    ``parts`` is a zone's padded (columns, exponents) pair, as
+    ``_zone_parts`` gives it; a part lists each of its columns once.
+    """
+    cols, exps = parts
+    held = (cols[pa][:, :, None] == cols[pb][:, None, :]) & (
+        exps[pa][:, :, None] <= exps[pb][:, None, :]
+    )
+    return (held.any(axis=2) | (exps[pa] == 0)).all(axis=1)
 
 
 def _verify_sampled(
@@ -937,14 +997,20 @@ def _verify_sampled(
 ) -> tuple[int, list[tuple]]:
     """Check ``samples`` drawn pairs, at most SAMPLE_BATCH at a time.
 
-    Stops at the 20th failure, and then counts the pairs up to it.
+    Each zone's rows are ``_RowBlocks``, so a block of rows is derived
+    when a pair first reaches it, and kept for later batches.  Stops at
+    the 20th failure, and then counts the pairs up to it.
     """
     n = cert.n
     if n < 2:  # no ordered pair a != b to draw
         return 0, []
     import numpy as np
 
-    zones = [(index, _rank_matrix(rows)) for index, rows in certificate_zones(cert)]
+    chain = np.zeros((1, 1), dtype=np.int64)  # a chain prime's single row (0,)
+    zones = [
+        (index, chain if zone is None else _RowBlocks(zone))
+        for index, zone in _zone_columns(cert)
+    ]
     table = _zone_table(zones)
     failures: list[tuple] = []
     checked = 0
