@@ -156,10 +156,11 @@ class ChainZoneCert:
         return len(self.primes)
 
     def check_shape(self) -> None:
-        """Nothing to check: the primes alone give the chains."""
+        """Nothing to check: the primes alone give the rows."""
 
-    def rows(self, start: int = 0, stop: int | None = None) -> None:
-        """None: each prime is a chain coordinate of its own, with no rows."""
+    def rows(self, start: int = 0, stop: int | None = None) -> tuple[tuple[int, ...], ...]:
+        """The standard rows, or those in range(start, stop): row c is column c's chain."""
+        return _standard_rows(len(self.primes))[start:stop]
 
 
 @dataclass(frozen=True)
@@ -378,12 +379,13 @@ class _IntMemo(dict):
         return value
 
 
-def _standard_sigma_ranks(d: int) -> tuple[tuple[int, ...], ...]:
+def _standard_rows(d: int) -> tuple[tuple[int, ...], ...]:
     """d permutations of [d]: the i-th puts element i on top.
 
     These realise any suborder of the subset lattice on [d]: whenever
     U is not contained in V, any x in U minus V makes V colex-smaller
-    than U under the x-on-top order.
+    than U under the x-on-top order, and likewise for multisets, with x
+    of higher multiplicity in U: so they are a chain zone's rows too.
     """
     return tuple((*range(i), d - 1, *range(i, d - 1)) for i in range(d))
 
@@ -410,7 +412,7 @@ def _coverfree_zone(zp: ZonePlan) -> CoverFreeZoneCert:
         capacity=bp.capacity,
         family=tuple(tuple(sorted(s)) for s in family.sets),
         phi=tuple(range(len(zp.primes))),
-        sigma_ranks=_standard_sigma_ranks(fieldspec.q**2),
+        sigma_ranks=_standard_rows(fieldspec.q**2),
     )
 
 
@@ -441,10 +443,11 @@ def _drawn_zone(
 
 
 def _zone_verdict(n: int, zone) -> Verdict:
-    """``check_interval_suitability`` on the zone's ``rows``; chains pass."""
-    rows = zone.rows()
-    if rows is None:
+    """``check_interval_suitability`` on the zone's ``rows``; chains pass
+    unwalked, as the row of a prime's column ranks it above all others."""
+    if zone.kind == "chains":
         return Verdict(True)
+    rows = zone.rows()
     primes = zone.primes
     # re-index by ascending prime only when the primes do not ascend: a
     # copy of a large zone's rows would raise the build's peak memory
@@ -527,7 +530,7 @@ def build_certificate(
         elif zp.kind == "cover-free":
             zone = _build_coverfree_zone(pl.n, zp, table)
         else:
-            zone = _derive_zone(pl.n, zi, zp, seed, 0)  # chains: nothing to check
+            zone = _derive_zone(pl.n, zi, zp, seed, 0)  # chains: _zone_verdict passes them
         zones.append(zone)
     dimension = sum(z.dimension for z in zones)
     return RealiserCertificate(
@@ -657,30 +660,18 @@ def _colex_places(ranks, parts: tuple):
 _Zone = tuple[dict[int, int], Sequence[Sequence[int]]]
 
 
-def _zone_columns(cert: RealiserCertificate) -> Iterator[tuple[dict[int, int], object]]:
-    """Each zone's prime -> column dict, with the zone whose ``rows`` rank them.
-
-    A chain, which has no rows, gives one one-prime dict per prime, with
-    None for the zone.
-    """
-    for zone in cert.zones:
-        if zone.rows(0, 0) is None:
-            yield from (({p: 0}, None) for p in zone.primes)
-        else:
-            yield {p: i for i, p in enumerate(zone.primes)}, zone
+def _columns(zone) -> dict[int, int]:
+    """The zone's prime -> column dict; a prime recorded twice keeps its last column."""
+    return {p: i for i, p in enumerate(zone.primes)}
 
 
 def certificate_zones(cert: RealiserCertificate) -> list[_Zone]:
     """The certificate's zones, each a colex order per row on its primes.
 
-    A zone's rows are its ``rows()``, the rows the build checked.  A
-    chain, which has none, contributes one one-prime zone per prime,
-    with the single row (0,).
+    One entry per zone, chains included: its column dict and its
+    ``rows()``, the rows the build checked.
     """
-    return [
-        (index, [(0,)] if zone is None else zone.rows())
-        for index, zone in _zone_columns(cert)
-    ]
+    return [(_columns(zone), zone.rows()) for zone in cert.zones]
 
 
 class _RowBlocks:
@@ -935,7 +926,7 @@ def _below_everywhere(zones: list[_Zone], table, a, b):
     """For each pair, whether a lies at or below b in every coordinate.
 
     ``zones`` hold their rows as ``_rank_matrix`` gives them, or as
-    ``_RowBlocks``, which slice the same way, and ``table`` is
+    ``_RowBlocks``, which slice the same way, or None, and ``table`` is
     ``_zone_table(zones)``.  The batch's distinct numbers go through
     ``_zone_parts`` once each.  A zone's coordinates read only the
     parts, and a colex key only grows when an exponent grows or a prime
@@ -948,7 +939,9 @@ def _below_everywhere(zones: list[_Zone], table, a, b):
     read, and filters the pairs through it row by row, keeping the ones
     no row has yet put a above b; the zone stops at the block after
     which none is live, so no matrix of rows × pairs is made and later
-    blocks are not read.
+    blocks are not read.  A chain zone's rows, given as None, are not
+    read: where a's part does not divide b's, the standard row of a
+    column where a's exponent is larger puts a above b.
     """
     import numpy as np
 
@@ -962,6 +955,8 @@ def _below_everywhere(zones: list[_Zone], table, a, b):
         live = np.flatnonzero(below & (g[ia] != g[ib]) & (g[ia] != 0))
         live = live[~_divides((cols, exps), g[ia[live]], g[ib[live]])]
         below[live] = False
+        if ranks is None:  # a chain zone's standard rows refute every live pair
+            continue
         start = 0
         while len(live):
             block = ranks[start : start + step]
@@ -998,18 +993,18 @@ def _verify_sampled(
     """Check ``samples`` drawn pairs, at most SAMPLE_BATCH at a time.
 
     Each zone's rows are ``_RowBlocks``, so a block of rows is derived
-    when a pair first reaches it, and kept for later batches.  Stops at
-    the 20th failure, and then counts the pairs up to it.
+    when a pair first reaches it, and kept for later batches; a chain
+    zone's are None, as its parts decide it.  Stops at the 20th failure,
+    and then counts the pairs up to it.
     """
     n = cert.n
     if n < 2:  # no ordered pair a != b to draw
         return 0, []
     import numpy as np
 
-    chain = np.zeros((1, 1), dtype=np.int64)  # a chain prime's single row (0,)
     zones = [
-        (index, chain if zone is None else _RowBlocks(zone))
-        for index, zone in _zone_columns(cert)
+        (_columns(zone), None if zone.kind == "chains" else _RowBlocks(zone))
+        for zone in cert.zones
     ]
     table = _zone_table(zones)
     failures: list[tuple] = []

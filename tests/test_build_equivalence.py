@@ -30,8 +30,10 @@ from divdim.divposets import (
     smooth_numbers,
 )
 from divdim.pipeline import (
+    ChainZoneCert,
     _build_coverfree_zone,
     _coverfree_zone,
+    _zone_verdict,
     plan,
     random_suitable_interval,
 )
@@ -222,6 +224,28 @@ def test_suitability_matches_oracle_on_coverfree_orderings(coverfree_zones_1e5, 
                 check_interval_suitability(n, zone.primes, shuffled[:size]),
                 bitset_interval_suitability(n, zone.primes, shuffled[:size]),
             )
+
+
+@pytest.mark.parametrize("n", [*range(1, 41), 60, 1000, 2000, 10**4, 10**5])
+def test_chain_zone_rows_pass_the_walk_that_zone_verdict_skips(n, path):
+    # _zone_verdict passes a chain zone unwalked: the row of a prime's
+    # column ranks it above every other column, so every (node, prime)
+    # pair is covered, whatever order the primes are recorded in
+    table = sieve_primes(max(n, 2))
+    (zp,) = [z for z in plan(n, 0.5, table).zones if z.kind == "chains"]
+    recorded = [zp.primes, zp.primes[::-1]]
+    if len(zp.primes) > 1:
+        recorded += [zp.primes[:i] + zp.primes[i + 1 :] for i in range(len(zp.primes))]
+    for primes in recorded:
+        zone = ChainZoneCert(zp.lo, zp.hi, primes)
+        assert _zone_verdict(n, zone)
+        # the rows re-indexed by ascending prime, as _zone_verdict would
+        order = sorted(range(len(primes)), key=primes.__getitem__)
+        rows = [[row[i] for i in order] for row in zone.rows()]
+        ascending = sorted(primes)
+        new = check_interval_suitability(n, ascending, rows)
+        assert new
+        assert_same(new, bitset_interval_suitability(n, ascending, rows))
 
 
 def test_suitability_block_boundaries(monkeypatch):

@@ -105,6 +105,21 @@ def _drop_first_chain(zone):
         zone["primes"] = zone["primes"][1:]
 
 
+def _reverse_chains(zone):
+    if zone["kind"] == "chains":
+        zone["primes"] = zone["primes"][::-1]
+
+
+def _repeat_last_chain_prime(zone):
+    if zone["kind"] == "chains":
+        zone["primes"] = zone["primes"] + zone["primes"][-1:]
+
+
+def _first_chain_prime_1(zone):
+    if zone["kind"] == "chains" and zone["primes"]:
+        zone["primes"][0] = 1
+
+
 def _flip_one_rank_bit(zone):
     if zone["kind"] == "random-suitable":
         zone["ranks"][0][0] ^= 1
@@ -122,6 +137,10 @@ BREAKS = {
     "one-tied-rank-row": _one_tied_rank_row,
     "three-sigma-rows": _keep_three_sigma_rows,
     "first-chain-dropped": _drop_first_chain,
+    # sampled verify decides chain zones by their parts; scalar_sampled reads their rows
+    "chains-reversed": _reverse_chains,
+    "chain-prime-repeated": _repeat_last_chain_prime,
+    "chain-prime-1": _first_chain_prime_1,
     "rank-bit-flipped": _flip_one_rank_bit,
     "rows-reversed": _reverse_rank_rows,
     "rank-1e12": _suitable_rank(10**12),
@@ -144,15 +163,16 @@ def certificate(n, seed, brk):
 @pytest.mark.parametrize("brk", ["intact", "three-sigma-rows", *SIGMA_BREAKS])
 @pytest.mark.parametrize("n", [1000, 10**4])
 def test_cover_free_rows_are_the_tau_rank_rows(n, brk):
-    """Each zone's prime indices, each chain prime's row (0,), and each
+    """Each zone's prime indices, each chain zone's standard rows, and each
     random-suitable zone's recorded ranks, as ``certificate_zones`` gives
     them; the cover-free rows are checked across the ranker cut below."""
     cert = certificate(n, 0, brk)
     zones = iter(certificate_zones(cert))
     for zone in cert.zones:
         if zone.kind == "chains":
-            for p in zone.primes:
-                assert next(zones) == ({p: 0}, [(0,)])
+            k = len(zone.primes)
+            rows = [(*range(i), k - 1, *range(i, k - 1)) for i in range(k)]
+            assert next(zones) == ({p: i for i, p in enumerate(zone.primes)}, tuple(rows))
             continue
         index, rows = next(zones)
         assert index == {p: i for i, p in enumerate(zone.primes)}
