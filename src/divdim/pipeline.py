@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Iterator, Sequence
 
-from . import divposets
+from . import certjson, divposets
 from .base import DomainError, O1_DROPPED_NOTE, RetryBudgetError, Verdict
 from .coverfree import SetFamily, build_field, eff_family
 from .divposets import (
@@ -302,6 +302,8 @@ def _typed(name: str, kind: str, value):
         if _int_array(value):
             return tuple(value)
     elif kind == _ROWS:
+        if type(value) is certjson.Rows:  # checked as it was read
+            return tuple(value)
         if isinstance(value, list) and all(map(_int_array, value)):
             return tuple(map(tuple, value))
     else:
@@ -358,25 +360,8 @@ class RealiserCertificate:
 
     @classmethod
     def loads(cls, text: str) -> "RealiserCertificate":
-        try:
-            data = json.loads(text, parse_int=_IntMemo().__getitem__)
-        # JSONDecodeError, a numeral too long for int, or nesting too deep
-        except (ValueError, RecursionError) as exc:
-            raise DomainError(f"certificate is not valid JSON: {exc}") from exc
-        return cls.from_json_dict(data)
-
-
-class _IntMemo(dict):
-    """Numeral -> int for one parse, one int object per distinct numeral.
-
-    JSON decoding otherwise makes a new int for every number, so at
-    n = 10^5 the loaded rank rows would hold about 12 MB of equal ints;
-    shared, they are little more than their pointers.
-    """
-
-    def __missing__(self, numeral: str) -> int:
-        value = self[numeral] = int(numeral)
-        return value
+        """The certificate that JSON ``text`` records, or DomainError."""
+        return cls.from_json_dict(certjson.parse(text))
 
 
 def _standard_rows(d: int) -> tuple[tuple[int, ...], ...]:

@@ -11,6 +11,8 @@ be re-derived independently from one master seed.
 from __future__ import annotations
 
 import struct
+import sys
+from array import array
 from typing import Iterator
 
 from .base import DomainError
@@ -21,20 +23,15 @@ _GAMMA = 0x9E3779B97F4A7C15
 # _lanes computes up to LANES outputs at once, lane k of one Python int
 # being bits [128k, 128k + 128).  Values stay below 2^64 between steps,
 # so a 64-bit multiply fills at most its own lane and never carries out.
-# Each lane's low 64 bits are read in an explicit byte order, so the
-# stream does not depend on the host's.
+# The lanes are written out little-endian and read back as the host's
+# 64-bit words, swapped on a big-endian host, so the stream does not
+# depend on the host's byte order.
 LANES = 1024
-
-
-def _lane_format(count: int) -> str:
-    """struct format of ``count`` lanes, each read as its low 64 bits."""
-    return "<" + "Q8x" * count
-
 
 _ONES = int.from_bytes(b"\x01".ljust(16, b"\0") * LANES, "little")  # 1 in every lane
 _LOW = _ONES * MASK64
 _STEPS = _GAMMA * int.from_bytes(
-    struct.pack(_lane_format(LANES), *range(1, LANES + 1)), "little"
+    struct.pack("<" + "Q8x" * LANES, *range(1, LANES + 1)), "little"
 )  # (k+1)*gamma
 
 
@@ -51,8 +48,12 @@ def accept_limit(bound: int) -> int:
     return (MASK64 + 1) - (MASK64 + 1) % bound
 
 
-def _lanes(state: int, count: int) -> tuple[int, ...]:
-    """mix(state + k * gamma) for k = 1 .. count, count <= LANES, in one int."""
+def _lanes(state: int, count: int) -> bytes:
+    """mix(state + k * gamma) for k = 1 .. count, count <= LANES, as lanes.
+
+    They are computed in one int and returned as its little-endian bytes:
+    16 per lane, the output in the first 8.
+    """
     ones, steps, low = _ONES, _STEPS, _LOW
     if count < LANES:
         bits = (1 << 128 * count) - 1
@@ -61,7 +62,7 @@ def _lanes(state: int, count: int) -> tuple[int, ...]:
     z = ((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9 & low
     z = ((z ^ (z >> 27)) & low) * 0x94D049BB133111EB & low
     z ^= z >> 31  # what this spills into the high halves is never read
-    return struct.unpack(_lane_format(count), z.to_bytes(16 * count, "little"))
+    return z.to_bytes(16 * count, "little")
 
 
 class SplitMix64:
@@ -104,16 +105,19 @@ class SplitMix64:
 
         The list twin of ``next_block``: it equals ``count`` calls of
         ``next_u64``, computed up to LANES at a time, and the state advances
-        past it.
+        past it.  The lanes go into one array of 64-bit words, whose
+        even words are the outputs, so the list is made once.
         """
         if count < 0:
             raise ValueError("count must be nonnegative")
-        words = []
+        words = array("Q")
         for done in range(0, count, LANES):
             start = (self.state + done * _GAMMA) & MASK64
-            words += _lanes(start, min(LANES, count - done))
+            words.frombytes(_lanes(start, min(LANES, count - done)))
+        if sys.byteorder == "big":
+            words.byteswap()
         self.state = (self.state + count * _GAMMA) & MASK64
-        return words
+        return words[::2].tolist()
 
     def randbelow(self, bound: int) -> int:
         """Uniform draw from range(bound), unbiased via rejection."""

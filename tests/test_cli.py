@@ -740,3 +740,18 @@ def test_bad_input_is_a_usage_error(input_files, case):
     assert done.returncode == 2, done.stderr
     assert "error: " in done.stderr
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_non_json_constant_is_a_usage_error(input_files, tmp_path, constant):
+    # Python's json reads these, but they are not JSON: rejected at load
+    # with exit 2, not verified and failed with exit 1
+    text = Path(input_files["cert"]).read_text()
+    assert '"eps":0.5,' in text
+    cert = tmp_path / "cert.json"
+    cert.write_text(text.replace('"eps":0.5,', f'"eps":{constant},'))
+    done = _divdim("verify", "--cert", str(cert), timeout=30)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == (
+        f"error: certificate is not valid JSON: {constant} is not a JSON value\n"
+    )
