@@ -48,6 +48,10 @@ def loads_on_numpy(text):
 def assert_loads_as_plain(text):
     got, on_numpy = loads_on_numpy(text)
     assert got == result(plain_loads, text)
+    if isinstance(got, RealiserCertificate):
+        # equal is not enough: a numpy integer compares equal to its int
+        blocks = [getattr(z, f, ()) for z in got.zones for f in ("ranks", "sigma_ranks")]
+        assert {type(v) for rows in blocks for row in rows for v in row} <= {int}
     return got, on_numpy
 
 
