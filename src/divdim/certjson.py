@@ -160,7 +160,7 @@ class _RowReader:
                 return Rows(rows)
             at = cut + 3
 
-    def _chunk(self, text: str):
+    def _chunk(self, text: str) -> tuple[object, list[int]] | None:
         """(values, row bounds) of ``text``, canonical rows joined by "],[", or None.
 
         The values are an object array of shared ints, or of fresh ones
