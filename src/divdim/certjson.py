@@ -1,4 +1,4 @@
-"""Certificate JSON text as Python values, for ``RealiserCertificate.loads``.
+"""Certificate JSON text, read and written, for ``RealiserCertificate``.
 
 ``parse`` gives what ``json.loads`` gives, with two differences.  Equal
 ints are one object, so the millions of ranks a large certificate
@@ -7,11 +7,17 @@ records take little more than their pointers.  And NaN, Infinity and
 invalid.  A large block of rank rows is read with numpy, as ``Rows``
 of tuples: the same values, at a fraction of the decoder's cost per
 number.
+
+``dumps`` gives what ``json.dumps`` gives in the canonical compact form,
+but writes each ``Rows`` block from one shared table of numerals, not
+through the encoder's call per int.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from operator import itemgetter
 
 from . import divposets
 from .base import DomainError
@@ -54,7 +60,77 @@ class _IntMemo(dict):
 
 
 class Rows(tuple):
-    """Rank rows read by ``_RowReader``: tuples of ints, checked as they were read."""
+    """Rank rows that the library made or read: tuples of exact non-negative ints.
+
+    The draw, the standard rows and ``_RowReader`` make them, so neither
+    ``_typed`` nor ``dumps`` walks their values to check them.
+    """
+
+
+def dumps(data) -> str:
+    """``json.dumps(data, sort_keys=True, separators=(",", ":"))``, the same text.
+
+    Each nonempty ``Rows`` block is encoded as a NaN placeholder, and
+    each NaN of that text is then replaced, in document order, by its
+    block's rows written from one table of numerals shared by all
+    blocks.  The whole of ``data`` goes through ``json.dumps`` instead
+    when the text holds a NaN of its own, or a block holds an empty row
+    or a value past the table, which is as wide as the widest row; so
+    the text, or the error, is always ``json.dumps``' own.
+    """
+    blocks: list[Rows] = []
+    try:
+        text = _plain_dumps(_placed(data, blocks))
+        if not blocks:
+            return text
+        parts = text.split("NaN")
+        if len(parts) != len(blocks) + 1:
+            raise ValueError("the data holds a NaN of its own")
+        table = [str(i) for i in range(max(len(row) for rows in blocks for row in rows))]
+        pieces = [parts[0]]
+        for rows, part in zip(blocks, parts[1:]):
+            pieces += _written(rows, table)
+            pieces.append(part)
+    except (ValueError, TypeError, IndexError):
+        return _plain_dumps(data)
+    return "".join(pieces)
+
+
+def _written(rows: Rows, table: list[str]) -> list[str]:
+    """The JSON text of ``rows`` as pieces, each value's numeral from ``table``.
+
+    The pieces are joined once, into the whole text: joining a block
+    first would hold a second copy of its text.  ``itemgetter`` looks up
+    a whole row in one call, a third faster than a ``table.__getitem__``
+    call per value; but it returns a one-value row's numeral bare, and
+    an empty row raises IndexError here.
+    """
+    pieces = []
+    for row in rows:
+        pieces += ("],[", ",".join(itemgetter(*row)(table)) if len(row) > 1 else table[row[0]])
+    pieces[0] = "[["
+    pieces.append("]]")
+    return pieces
+
+
+def _plain_dumps(data) -> str:
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
+def _placed(value, blocks: list):
+    """``value`` with each nonempty Rows block a NaN, appended to ``blocks``
+    in the order ``json.dumps(..., sort_keys=True)`` writes them.
+
+    An empty block stays: its text is "[]", not "[[]]".
+    """
+    if type(value) is Rows and value:
+        blocks.append(value)
+        return math.nan
+    if type(value) is dict:
+        return {key: _placed(value[key], blocks) for key in sorted(value)}
+    if type(value) is list:
+        return [_placed(item, blocks) for item in value]
+    return value
 
 
 def _row_block_parse(text: str):

@@ -12,7 +12,6 @@ and ``divdim suitable`` calls it for a single interval.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from collections import Counter
@@ -180,14 +179,14 @@ class SuitableZoneCert:
         return len(self.ranks)
 
     def check_shape(self) -> None:
-        """Structural sanity of loaded rows.
+        """Structural sanity of loaded rows, whose values ``_typed`` has
+        checked are non-negative ints.
 
         Whether the rows really are the seeded permutations is
         verification's job.
         """
-        for row in self.ranks:
-            if len(row) != len(self.primes) or min(row, default=0) < 0:
-                raise DomainError("malformed rank row")
+        if any(len(row) != len(self.primes) for row in self.ranks):
+            raise DomainError("malformed rank row")
 
     def rows(self, start: int = 0, stop: int | None = None) -> tuple[tuple[int, ...], ...]:
         """The recorded rank rows, or those in range(start, stop)."""
@@ -225,9 +224,8 @@ class CoverFreeZoneCert:
             not 0 <= i < len(self.family) for i in self.phi
         ):
             raise DomainError("malformed member assignment")
-        for row in self.sigma_ranks:
-            if len(row) != self.ground_size or min(row, default=0) < 0:
-                raise DomainError("malformed ground permutation")
+        if any(len(row) != self.ground_size for row in self.sigma_ranks):
+            raise DomainError("malformed ground permutation")
 
     def tau_rank_rows(self, start: int = 0, stop: int | None = None) -> list[list[int]]:
         """Zone-prime orderings induced by the family images.
@@ -289,8 +287,9 @@ def _typed(name: str, kind: str, value):
 
     Ints are checked by exact type: JSON true, false and numbers written
     3.0 are not ints.  A float field takes ints too.  Arrays become
-    tuples.  An annotation with no reader here raises, so a new field
-    cannot be read unchecked.
+    tuples.  Rows hold no negative value; ``certjson.Rows`` cannot, so
+    only the decoder's rows are walked for one.  An annotation with no
+    reader here raises, so a new field cannot be read unchecked.
     """
     if kind == "int":
         if type(value) is int:
@@ -305,6 +304,8 @@ def _typed(name: str, kind: str, value):
         if type(value) is certjson.Rows:  # checked as it was read
             return tuple(value)
         if isinstance(value, list) and all(map(_int_array, value)):
+            if any(min(row, default=0) < 0 for row in value):
+                raise DomainError(f"malformed certificate: {name} holds a negative value")
             return tuple(map(tuple, value))
     else:
         raise NotImplementedError(f"no JSON reader for field {name}: {kind}")
@@ -334,8 +335,13 @@ class RealiserCertificate:
         return out
 
     def dumps(self) -> str:
-        """Canonical compact JSON: sorted keys, no whitespace, one final newline."""
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+        """Canonical compact JSON: sorted keys, no whitespace, one final newline.
+
+        ``certjson.dumps`` writes it: the text of ``json.dumps``, with the
+        ``certjson.Rows`` blocks a built certificate holds written from a
+        table of numerals rather than by the encoder one int at a time.
+        """
+        return certjson.dumps(self.to_json_dict()) + "\n"
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RealiserCertificate":
@@ -397,7 +403,7 @@ def _coverfree_zone(zp: ZonePlan) -> CoverFreeZoneCert:
         capacity=bp.capacity,
         family=tuple(tuple(sorted(s)) for s in family.sets),
         phi=tuple(range(len(zp.primes))),
-        sigma_ranks=_standard_rows(fieldspec.q**2),
+        sigma_ranks=certjson.Rows(_standard_rows(fieldspec.q**2)),
     )
 
 
@@ -423,7 +429,7 @@ def _drawn_zone(
     primes in (lo, hi], at the size ``suitable_draw_size`` gives; unchecked."""
     size = suitable_draw_size(n, lo, len(primes), retry_index)
     rows = draw_interval_perms(primes, zone_seed, retry_index, size)
-    ranks = tuple(map(tuple, rows))
+    ranks = certjson.Rows(map(tuple, rows))
     return SuitableZoneCert(lo, hi, primes, zone_seed, retry_index, size, ranks)
 
 

@@ -181,3 +181,21 @@ def test_loads_at_1e5_peaks_no_higher_than_the_plain_parse(text_1e5):
             tracemalloc.stop()
 
     assert peak(RealiserCertificate.loads) <= peak(plain_loads)
+
+
+@pytest.mark.parametrize(
+    "n,kind,key", [(60, "random-suitable", "ranks"), (1000, "cover-free", "sigma_ranks")]
+)
+def test_negative_or_short_rows_are_rejected_at_load(n, kind, key):
+    # a row the decoder reads is walked for a negative value; one the
+    # numpy reader reads cannot hold one, and only its length is checked
+    for edit, message in (
+        (lambda rows: rows[0].__setitem__(0, -1), f"{key} holds a negative value"),
+        (lambda rows: rows[0].pop(), "malformed"),
+    ):
+        data = json.loads(cert_text(n))
+        edit(next(z for z in data["zones"] if z["kind"] == kind)[key])
+        text = canonical(data)
+        with pytest.raises(DomainError, match=message):
+            RealiserCertificate.loads(text)
+        assert_loads_as_plain(text)
