@@ -1,12 +1,13 @@
 """Certificate JSON text, read and written, for ``RealiserCertificate``.
 
 ``parse`` gives what ``json.loads`` gives, with two differences.  Equal
-ints are one object, so the millions of ranks a large certificate
-records take little more than their pointers.  And NaN, Infinity and
--Infinity, which Python's decoder reads but JSON lacks, make the text
-invalid.  A large block of rank rows is read with numpy, as ``Rows``
-of tuples: the same values, at a fraction of the decoder's cost per
-number.
+ranks are one int object, so the millions of ranks a large certificate
+records take little more than their pointers: across the text when it
+is parsed plainly, and across the large blocks read with numpy when it
+is not.  And NaN, Infinity and -Infinity, which Python's decoder reads
+but JSON lacks, make the text invalid.  A large block of rank rows is
+read with numpy, as ``Rows`` of tuples: the same values, at a fraction
+of the decoder's cost per number.
 
 ``dumps`` gives what ``json.dumps`` gives in the canonical compact form,
 but writes each ``Rows`` block from one shared table of numerals, not
@@ -51,7 +52,10 @@ class _IntMemo(dict):
     shared, they are little more than their pointers.  But the decoder
     calls it once per number, so the large row blocks that
     ``_row_block_parse`` reads bypass it: their values come from
-    ``_RowReader``'s table, one int object per value too.
+    ``_RowReader``'s table, one int object per value too.  The text
+    around those blocks (primes, field values, ``phi`` and the rows of
+    blocks too small for numpy) is parsed without it, as it holds few
+    equal numbers to share.
     """
 
     def __missing__(self, numeral: str) -> int:
@@ -60,10 +64,13 @@ class _IntMemo(dict):
 
 
 class Rows(tuple):
-    """Rank rows that the library made or read: tuples of exact non-negative ints.
+    """Rows that the library made or read: tuples of exact non-negative ints.
 
-    The draw, the standard rows and ``_RowReader`` make them, so neither
-    ``_typed`` nor ``dumps`` walks their values to check them.
+    The draw, the standard rows, a cover-free zone's family and
+    ``_RowReader`` make them, and ``_typed`` makes them of the decoder's
+    rows once it has checked them, so every row field of a built or a
+    loaded certificate is one.  Neither ``_typed`` nor ``dumps`` walks
+    their values to check them again.
     """
 
 
@@ -185,11 +192,7 @@ def _row_block_parse(text: str):
         return None
     placed = iter(blocks)
     try:
-        return json.loads(
-            "NaN".join(rest),
-            parse_int=_IntMemo().__getitem__,
-            parse_constant=lambda _: next(placed),
-        )
+        return json.loads("NaN".join(rest), parse_constant=lambda _: next(placed))
     except (ValueError, RecursionError):
         return None
 

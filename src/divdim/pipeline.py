@@ -287,7 +287,8 @@ def _typed(name: str, kind: str, value):
 
     Ints are checked by exact type: JSON true, false and numbers written
     3.0 are not ints.  A float field takes ints too.  Arrays become
-    tuples.  Rows hold no negative value; ``certjson.Rows`` cannot, so
+    tuples, and rows ``certjson.Rows``, as a built certificate holds
+    them.  Rows hold no negative value; ``certjson.Rows`` cannot, so
     only the decoder's rows are walked for one.  An annotation with no
     reader here raises, so a new field cannot be read unchecked.
     """
@@ -302,11 +303,11 @@ def _typed(name: str, kind: str, value):
             return tuple(value)
     elif kind == _ROWS:
         if type(value) is certjson.Rows:  # checked as it was read
-            return tuple(value)
+            return value
         if isinstance(value, list) and all(map(_int_array, value)):
             if any(min(row, default=0) < 0 for row in value):
                 raise DomainError(f"malformed certificate: {name} holds a negative value")
-            return tuple(map(tuple, value))
+            return certjson.Rows(map(tuple, value))
     else:
         raise NotImplementedError(f"no JSON reader for field {name}: {kind}")
     raise DomainError(f"malformed certificate: {name} is not {kind}")
@@ -338,8 +339,9 @@ class RealiserCertificate:
         """Canonical compact JSON: sorted keys, no whitespace, one final newline.
 
         ``certjson.dumps`` writes it: the text of ``json.dumps``, with the
-        ``certjson.Rows`` blocks a built certificate holds written from a
-        table of numerals rather than by the encoder one int at a time.
+        ``certjson.Rows`` blocks a built or loaded certificate holds
+        written from a table of numerals rather than by the encoder one
+        int at a time.
         """
         return certjson.dumps(self.to_json_dict()) + "\n"
 
@@ -401,7 +403,7 @@ def _coverfree_zone(zp: ZonePlan) -> CoverFreeZoneCert:
         r=bp.r,
         ground_size=fieldspec.q**2,
         capacity=bp.capacity,
-        family=tuple(tuple(sorted(s)) for s in family.sets),
+        family=certjson.Rows(tuple(sorted(s)) for s in family.sets),
         phi=tuple(range(len(zp.primes))),
         sigma_ranks=certjson.Rows(_standard_rows(fieldspec.q**2)),
     )
@@ -711,15 +713,17 @@ def _zone_parts(table, zone_count: int, numbers):
     ``table`` is ``_zone_table(zones)``.  A number's part in zone Z is
     named by its value, the product of p^e over the primes p of Z with
     p^e exactly dividing the number: it divides the number, so it fits
-    int64, and no recorded value sizes it.  Returns (parts, group):
-    parts[Z] holds the zone's distinct parts as padded (columns,
-    exponents) arrays, ``_padded``'s form with each part's columns in
-    the order of its primes, the empty part first and the others by
-    ascending value; group[Z, k] is the index there of numbers[k]'s
-    part.  The numbers are factorised together by ``factorize_many``
-    and each factor is matched to its zones' entries in the table; then
-    each zone in turn takes its entries in factor order (by number, each
-    number's primes ascending) and numbers the values it meets.
+    int64, and no recorded value sizes it.  Returns (parts, group,
+    values): parts[Z] holds the zone's distinct parts as padded
+    (columns, exponents) arrays, ``_padded``'s form with each part's
+    columns in the order of its primes, the empty part first and the
+    others by ascending value; values[Z] holds their values, an int64
+    array from 1, the empty part's; group[Z, k] is the index there of
+    numbers[k]'s part.  The numbers are factorised together by
+    ``factorize_many`` and each factor is matched to its zones' entries
+    in the table; then each zone in turn takes its entries in factor
+    order (by number, each number's primes ascending) and numbers the
+    values it meets.
     """
     import numpy as np
 
@@ -732,12 +736,13 @@ def _zone_parts(table, zone_count: int, numbers):
     zone, cols, exps = table[1, entry], table[2, entry], exps[factor]
     powers, number = primes[factor] ** exps, index[factor]
     group = np.zeros((zone_count, len(numbers)), dtype=np.intp)
-    parts = []
+    parts, values = [], []
     for zi in range(zone_count):
         at = np.flatnonzero(zone == zi)
         starts = np.flatnonzero(np.diff(number[at], prepend=-1))
         value = np.multiply.reduceat(powers[at], starts) if len(at) else at
-        _, first, part = np.unique(value, return_index=True, return_inverse=True)
+        distinct, first, part = np.unique(value, return_index=True, return_inverse=True)
+        values.append(np.insert(distinct, 0, 1))
         group[zi, number[at[starts]]] = part + 1
         # the first run of each distinct part fills its row; row 0, the
         # empty part, stays all zeros
@@ -748,7 +753,7 @@ def _zone_parts(table, zone_count: int, numbers):
         part_exps = np.zeros_like(part_cols)
         part_cols[1:][used], part_exps[1:][used] = cols[take], exps[take]
         parts.append((part_cols, part_exps))
-    return parts, group
+    return parts, group, values
 
 
 # ---------------------------------------------------------------------------
@@ -922,29 +927,30 @@ def _below_everywhere(zones: list[_Zone], table, a, b):
     ``_zone_parts`` once each.  A zone's coordinates read only the
     parts, and a colex key only grows when an exponent grows or a prime
     is added, whatever the row's values, ties and all: so a pair whose
-    part of a divides its part of b (the empty part divides every part)
-    is at or below in every row of the zone, and the zone checks only
-    the other pairs.  It reads its rows PLACES_BLOCK // SAMPLE_BATCH at
-    a time, from row 0 on.  Each block places (``_colex_places``) just
-    the parts that the pairs still live hold, since only their order is
-    read, and filters the pairs through it row by row, keeping the ones
-    no row has yet put a above b; the zone stops at the block after
-    which none is live, so no matrix of rows × pairs is made and later
-    blocks are not read.  A chain zone's rows, given as None, are not
-    read: where a's part does not divide b's, the standard row of a
-    column where a's exponent is larger puts a above b.
+    part of a divides its part of b is at or below in every row of the
+    zone, and the zone checks only the other pairs.  Parts are products
+    of prime factors over one prime -> column map, so that is one
+    modulus of their values; equal parts and the empty part, whose
+    value is 1, divide too.  It reads its rows PLACES_BLOCK //
+    SAMPLE_BATCH at a time, from row 0 on.  Each block places
+    (``_colex_places``) just the parts that the pairs still live hold,
+    since only their order is read, and filters the pairs through it
+    row by row, keeping the ones no row has yet put a above b; the zone
+    stops at the block after which none is live, so no matrix of rows ×
+    pairs is made and later blocks are not read.  A chain zone's rows,
+    given as None, are not read: where a's part does not divide b's,
+    the standard row of a column where a's exponent is larger puts a
+    above b.
     """
     import numpy as np
 
     numbers, index = np.unique(np.concatenate([a, b]), return_inverse=True)
     ia, ib = index[: len(a)], index[len(a) :]
-    parts, groups = _zone_parts(table, len(zones), numbers)
+    parts, groups, values = _zone_parts(table, len(zones), numbers)
     below = np.ones(len(a), dtype=bool)
     step = max(1, PLACES_BLOCK // SAMPLE_BATCH)
-    for (_, ranks), (cols, exps), g in zip(zones, parts, groups):
-        # equal parts and the empty part of a divide at once; test the rest
-        live = np.flatnonzero(below & (g[ia] != g[ib]) & (g[ia] != 0))
-        live = live[~_divides((cols, exps), g[ia[live]], g[ib[live]])]
+    for (_, ranks), (cols, exps), g, value in zip(zones, parts, groups, values):
+        live = np.flatnonzero(below & (value[g[ib]] % value[g[ia]] != 0))
         below[live] = False
         if ranks is None:  # a chain zone's standard rows refute every live pair
             continue
@@ -963,19 +969,6 @@ def _below_everywhere(zones: list[_Zone], table, a, b):
             start += step
         below[live] = True
     return below
-
-
-def _divides(parts: tuple, pa, pb):
-    """For each k, whether part pa[k] divides part pb[k] exponentwise.
-
-    ``parts`` is a zone's padded (columns, exponents) pair, as
-    ``_zone_parts`` gives it; a part lists each of its columns once.
-    """
-    cols, exps = parts
-    held = (cols[pa][:, :, None] == cols[pb][:, None, :]) & (
-        exps[pa][:, :, None] <= exps[pb][:, None, :]
-    )
-    return (held.any(axis=2) | (exps[pa] == 0)).all(axis=1)
 
 
 def _verify_sampled(

@@ -72,6 +72,20 @@ def test_dumps_is_the_json_dumps_text_before_and_after_a_round_trip(monkeypatch,
     assert loaded.dumps() == canonical(loaded.to_json_dict()) + "\n" == text
 
 
+@pytest.mark.parametrize("n", [300, 2000, 100_000])
+def test_a_loaded_certificate_writes_every_row_field_from_the_table(monkeypatch, n):
+    text = built(n).dumps()
+    loaded = RealiserCertificate.loads(text)
+    names = ("ranks", "sigma_ranks", "family")
+    row_fields = [getattr(z, f, ()) for z in loaded.zones for f in names]
+    assert {type(rows) for rows in row_fields if rows} == {certjson.Rows}
+    calls = plain_calls(monkeypatch)
+    assert loaded.dumps() == text
+    # one call, on the data with each row field a placeholder
+    assert len(calls) == 1
+    assert canonical(calls[0]).count("NaN") == sum(map(bool, row_fields))
+
+
 def _replace_zone(cert, kind, **changes):
     i = next(i for i, z in enumerate(cert.zones) if z.kind == kind)
     zones = list(cert.zones)

@@ -40,7 +40,7 @@ def as_owns(parts):
 
 def check_parts(zones, numbers):
     """_zone_parts against _zone_owns; returns each zone's parts as owns."""
-    parts, group = _zone_parts(_zone_table(zones), len(zones), np.array(numbers))
+    parts, group, part_values = _zone_parts(_zone_table(zones), len(zones), np.array(numbers))
     assert group.shape == (len(zones), len(numbers))
     owns_of = _zone_owns(zones)
     found = [owns_of(factorize(m)) for m in numbers]
@@ -56,6 +56,10 @@ def check_parts(zones, numbers):
         prime_of = {c: p for p, c in index.items()}
         values = [math.prod(prime_of[c] ** e for c, e in own) for own in owns]
         assert values == sorted(values)
+        # each part's value, the empty part's 1 first, as an int64 array
+        assert part_values[zi].dtype == np.int64
+        assert part_values[zi][0] == 1
+        assert part_values[zi].tolist() == values
     return parts, zone_owns
 
 
@@ -96,10 +100,10 @@ def test_parts_match_the_dict_reference_on_edited_zone_maps(zones, numbers):
 
 def test_parts_of_no_numbers_and_of_zones_without_primes():
     zones = [({}, [(0,)]), ({2: 0}, [(0,)]), ({}, [])]
-    parts, group = _zone_parts(_zone_table(zones), 3, np.array([], dtype=np.int64))
+    parts, group, _ = _zone_parts(_zone_table(zones), 3, np.array([], dtype=np.int64))
     assert group.shape == (3, 0)
     assert [as_owns(p) for p in parts] == [[()], [()], [()]]
-    parts, group = _zone_parts(_zone_table(zones), 3, np.array([1, 2, 3, 8]))
+    parts, group, _ = _zone_parts(_zone_table(zones), 3, np.array([1, 2, 3, 8]))
     assert group.tolist() == [[0, 0, 0, 0], [0, 1, 0, 2], [0, 0, 0, 0]]
     assert as_owns(parts[1]) == [(), ((0, 1),), ((0, 3),)]
 
